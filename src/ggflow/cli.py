@@ -161,10 +161,6 @@ def _build_structure(cfg):
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _checks_pass(checks):
-    return all(entry["passed"] for entry in checks.values())
-
-
 def run_evolve(cfg, outdir):
     system = _build_system(cfg)
     spec, entropy = _build_structure(cfg)

@@ -6,7 +6,9 @@ discretization uses piecewise-linear densities and piecewise-constant edge
 fluxes; the action of such a curve is integrated *exactly* in time
 (3-point Gauss per interval), so every discrete value is the true action of
 an admissible curve: values are upper bounds on the continuum cost, decrease
-under nested grid refinement, and converge at O(1/M^2).
+under nested grid refinement, and converge at O(1/M^2).  One objective
+evaluation stacks the three Gauss nodes, so it makes one psi and one psi_prime
+call, which for a numeric Legendre dual share one inversion (`DissipationSpec`).
 
 The smoothed weight alpha + eps removes the infinite cells of the
 perspective cost; the solver runs a decreasing eps schedule with warm
@@ -115,6 +117,9 @@ class _Transport:
         np.add.at(B, (self.ei, cols), 0.5 * self.th)
         np.add.at(B, (self.ej, cols), -0.5 * self.th)
         self.B = B
+        # flat (Gauss node, interval, state) index of the i-ends, then j-ends
+        base = n * np.arange(len(_GAUSS_NODES) * self.M)[:, None]
+        self._scatter = np.concatenate([(base + self.ei).ravel(), (base + self.ej).ravel()])
         self.BBt_pinv = np.linalg.pinv(B @ B.T, rcond=1e-12)
         self.pinned = self.u1 is not None
         if self.pinned:
@@ -145,32 +150,26 @@ class _Transport:
     def value_and_grad(self, W, eps):
         spec = self.spec
         U = self.states(W)
-        M, n = self.M, self.system.n
-        total = 0.0
-        gW = np.zeros_like(W)
-        gU = np.zeros((M + 1, n))
-        rows = np.arange(M)[:, None]
-        for s, wgt in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
-            Ug = (1.0 - s) * U[:-1] + s * U[1:]
-            ui = np.maximum(Ug[:, self.ei], 0.0)
-            uj = np.maximum(Ug[:, self.ej], 0.0)
-            aeps = self.dilation * (np.asarray(spec.alpha(ui, uj)) + eps)
-            what = W / aeps
-            psi_v = np.asarray(spec.psi(what))
-            psi_p = np.asarray(spec.psi_prime(what))
-            coeff = wgt * self.dt * 0.5 * self.th
-            total += float((coeff * psi_v * aeps).sum())
-            gW += coeff * psi_p
-            hval = (psi_v - what * psi_p) * self.dilation
-            live_i = (Ug[:, self.ei] > 0.0).astype(float)
-            live_j = (Ug[:, self.ej] > 0.0).astype(float)
-            contrib_i = coeff * hval * np.asarray(spec.alpha_grad_u(ui, uj)) * live_i
-            contrib_j = coeff * hval * np.asarray(spec.alpha_grad_u(uj, ui)) * live_j
-            gUg = np.zeros((M, n))
-            np.add.at(gUg, (rows, self.ei[None, :]), contrib_i)
-            np.add.at(gUg, (rows, self.ej[None, :]), contrib_j)
-            gU[:-1] += (1.0 - s) * gUg
-            gU[1:] += s * gUg
+        s = _GAUSS_NODES[:, None, None]  # arrays are (Gauss node, interval, edge)
+        Ug = (1.0 - s) * U[None, :-1] + s * U[None, 1:]
+        ui = np.maximum(Ug[..., self.ei], 0.0)
+        uj = np.maximum(Ug[..., self.ej], 0.0)
+        aeps = self.dilation * (np.asarray(spec.alpha(ui, uj)) + eps)
+        what = W[None] / aeps
+        psi_v = np.asarray(spec.psi(what))
+        psi_p = np.asarray(spec.psi_prime(what))
+        coeff = _GAUSS_WEIGHTS[:, None, None] * self.dt * 0.5 * self.th
+        total = float((coeff * psi_v * aeps).sum())
+        gW = (coeff * psi_p).sum(axis=0)
+        hval = (psi_v - what * psi_p) * self.dilation
+        contrib_i = coeff * hval * np.asarray(spec.alpha_grad_u(ui, uj)) * (ui > 0.0)
+        contrib_j = coeff * hval * np.asarray(spec.alpha_grad_u(uj, ui)) * (uj > 0.0)
+        contrib = np.concatenate([contrib_i.ravel(), contrib_j.ravel()])
+        gUg = np.bincount(self._scatter, contrib, Ug.size).reshape(Ug.shape)
+        gU = np.zeros((self.M + 1, self.system.n))
+        for g, node in enumerate(_GAUSS_NODES):
+            gU[:-1] += (1.0 - node) * gUg[g]
+            gU[1:] += node * gUg[g]
 
         # negativity penalty keeps the eliminated states in the quadrant
         neg = np.minimum(U[1:], 0.0)
@@ -545,7 +544,8 @@ def cost_axioms_check(system, spec, n_triples=20, tau=1.0, M=8, seed=0,
 
     Checked: W(tau, rho, rho) ~ 0; the two-time triangle inequality;
     monotonicity and midpoint convexity in tau; symmetry of the endpoints;
-    the time-dilation scaling identity.  Each reported violation already
+    the time-dilation scaling identity (dilation 2 on [0, tau] against
+    W(2 tau)).  Nine solves per triple.  Each reported violation already
     subtracts the per-solve tolerance 4*value/M^2 + 10*kkt_tol (the
     discretization-bias estimate plus the solver tolerance).
     """
@@ -578,33 +578,33 @@ def cost_axioms_check(system, spec, n_triples=20, tau=1.0, M=8, seed=0,
         v_self, tol_self = cost(tau, r1, r1)
         report["zero_self"] = max(report["zero_self"], v_self - tol_self)
 
+        # W(f tau, r1, r2), shared by the tau, triangle, symmetry and scaling checks
+        vs, ts = {}, {}
+        for f in (0.5, 0.75, 1.0, 2.0):
+            vs[f], ts[f] = cost(f * tau, r1, r2)
+
         v13, t13 = cost(tau, r1, r3)
-        v12, t12 = cost(0.5 * tau, r1, r2)
         v23, t23 = cost(0.5 * tau, r2, r3)
         report["triangle"] = max(
-            report["triangle"], v13 - (v12 + v23) - (t13 + t12 + t23)
+            report["triangle"], v13 - (vs[0.5] + v23) - (t13 + ts[0.5] + t23)
         )
 
-        vs = {}
-        for f in (0.5, 0.75, 1.0, 2.0):
-            vs[f], _ = cost(f * tau, r1, r2)
-        tol12 = 4.0 * abs(vs[0.5]) / (M * M) + 10.0 * kkt_tol
         report["tau_monotone"] = max(
             report["tau_monotone"],
-            vs[1.0] - vs[0.5] - 2.0 * tol12,
-            vs[2.0] - vs[1.0] - 2.0 * tol12,
+            vs[1.0] - vs[0.5] - 2.0 * ts[0.5],
+            vs[2.0] - vs[1.0] - 2.0 * ts[0.5],
         )
         midpoint = vs[0.75] - 0.5 * (vs[0.5] + vs[1.0])
         report["tau_midpoint_convexity"] = max(
-            report["tau_midpoint_convexity"], midpoint - 2.0 * tol12
+            report["tau_midpoint_convexity"], midpoint - 2.0 * ts[0.5]
         )
 
-        v_fwd, tf = cost(tau, r1, r2)
         v_bwd, tb = cost(tau, r2, r1)
-        report["symmetry"] = max(report["symmetry"], abs(v_fwd - v_bwd) - (tf + tb))
+        report["symmetry"] = max(report["symmetry"], abs(vs[1.0] - v_bwd) - (ts[1.0] + tb))
 
-        v_dil, td = cost(1.0, r1, r2, dilation=tau * 1.0)
+        # dilation 2 on [0, tau] is W(2 tau); a factor of 1 would compare a solve with itself
+        v_dil, td = cost(tau, r1, r2, dilation=2.0)
         report["scaling_identity"] = max(
-            report["scaling_identity"], abs(v_fwd - v_dil) - 2.0 * (tf + td)
+            report["scaling_identity"], abs(vs[2.0] - v_dil) - 2.0 * (ts[2.0] + td)
         )
     return report

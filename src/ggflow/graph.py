@@ -192,9 +192,6 @@ class Flux:
         out[mask] = 2.0 * self.j[mask] / system.theta[mask]
         return out
 
-    def total_variation(self):
-        return float(np.abs(self.j).sum())
-
 
 def graph_grad(phi_vec):
     """Graph gradient: out[i,j] = phi[j] - phi[i] (skew-symmetric)."""
@@ -219,12 +216,7 @@ class CEReport(NamedTuple):
 
 @dataclass(frozen=True)
 class CurveWithFlux:
-    """Time grid of measures with one flux per interval (or per node).
-
-    ``len(fluxes) == len(times) - 1`` means piecewise-constant fluxes per
-    interval (the solver convention); ``len(fluxes) == len(times)`` means
-    node-based fluxes integrated by the trapezoid rule.
-    """
+    """Time grid of measures with one piecewise-constant flux per interval."""
 
     times: np.ndarray
     states: tuple
@@ -244,11 +236,6 @@ class CurveWithFlux:
         dt = np.diff(self.times)
         if len(self.fluxes) == len(self.times) - 1:
             return [dt[m] * self.fluxes[m].j for m in range(dt.size)]
-        if len(self.fluxes) == len(self.times):
-            return [
-                0.5 * dt[m] * (self.fluxes[m].j + self.fluxes[m + 1].j)
-                for m in range(dt.size)
-            ]
         raise GridMismatch(
             f"{len(self.fluxes)} fluxes do not align with {len(self.times)} times"
         )
@@ -259,9 +246,8 @@ def ce_residual(system, times, states, fluxes):
 
     Tests the integrated equation against the coordinate-indicator basis
     (which spans all test functions on a finite space): on each interval,
-    residual_i = |(rho_t2 - rho_t1)_i + integral of div(j)_i dt|, fluxes
-    integrated per interval (piecewise-constant or trapezoid, see
-    CurveWithFlux).  Also checks the total-variation bound
+    residual_i = |(rho_t2 - rho_t1)_i + integral of div(j)_i dt|, with one
+    piecewise-constant flux per interval.  Also checks the total-variation bound
     ||rho_t2 - rho_t1||_TV <= 2 * integral |j|(E) dt up to the residual.
     """
     times = np.asarray(times, dtype=float)

@@ -51,14 +51,6 @@ class MMRun:
         rhs = float(self.energies[0] + len(self.w_values) * inner_tol)
         return max(0.0, lhs - rhs)
 
-    def to_dict(self):
-        return {
-            "tau": self.tau,
-            "times": self.times.tolist(),
-            "w_values": self.w_values.tolist(),
-            "energies": self.energies.tolist(),
-        }
-
 
 def mm_step(system, spec, entropy, tau, rho_prev, M=8,
             epsilon_schedule=(1e-2, 1e-3, 1e-4), kkt_tol=1e-8, max_iter=20000):

@@ -18,7 +18,6 @@ the defect from that identity.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -223,29 +222,39 @@ def invert_increasing_odd(g, s, iters=80):
     return np.sign(s) * 0.5 * (lo + hi)
 
 
-def _gauss_quad_odd(g, xi, panels_per_unit=2.0, order=16):
-    """Integral of an odd integrand g from 0 to xi, vectorized in xi."""
+_GL = []  # 16-point Gauss-Legendre nodes and weights, made on first use
+_QUAD_CHUNK = 2 ** 14  # panels per call of the integrand
+
+
+def _gauss_quad_odd(g, xi):
+    """Integral of an odd integrand g from 0 to xi, vectorized in xi.
+
+    ceil(2 |xi|) panels of 16-point Gauss-Legendre per element, laid end to
+    end over all elements; g sees _QUAD_CHUNK panels at a time.
+    """
+    if not _GL:  # numpy.polynomial is imported only where it is needed
+        _GL.extend(np.polynomial.legendre.leggauss(16))
     xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 0
-    xa = np.atleast_1d(np.abs(xi)).astype(float)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    out = np.zeros(xa.size)
-    for k, b in enumerate(np.ravel(xa)):
-        if b == 0.0:
-            continue
-        if not np.isfinite(b):
-            out[k] = np.inf
-            continue
-        npan = max(1, int(math.ceil(b * panels_per_unit)))
-        edges = np.linspace(0.0, b, npan + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * np.diff(edges)
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
+    xa = np.abs(xi).ravel()
+    out = np.where(np.isfinite(xa), 0.0, np.inf)
+    live = np.flatnonzero(np.isfinite(xa) & (xa > 0.0))
+    b = xa[live]
+    npan = np.maximum(1, np.ceil(2.0 * b)).astype(np.int64)
+    owner = np.repeat(np.arange(b.size), npan)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(npan) - npan, npan)
+    sums = np.zeros(b.size)
+    for a in range(0, owner.size, _QUAD_CHUNK):
+        o, kk = owner[a:a + _QUAD_CHUNK], k[a:a + _QUAD_CHUNK]
+        # the panel edges of np.linspace(0, b, npan + 1)
+        h = b[o] / npan[o]
+        lo, hi = kk * h, np.where(kk + 1 == npan[o], b[o], (kk + 1) * h)
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        pts = mid[:, None] + half[:, None] * _GL[0][None, :]
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = g(pts)
-        out[k] = float((half[:, None] * weights[None, :] * vals).sum())
-    out = np.where(np.isfinite(out), out, np.inf)  # overflow means superlinear blowup
-    return float(out[0]) if scalar else out.reshape(xi.shape)
+            panel = (half[:, None] * _GL[1][None, :] * g(pts)).sum(axis=1)
+            sums += np.bincount(o, weights=panel, minlength=b.size)
+    out[live] = np.where(np.isfinite(sums), sums, np.inf)  # overflow: superlinear blowup
+    return float(out[0]) if xi.ndim == 0 else out.reshape(xi.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +266,12 @@ class DissipationSpec:
     """A (Psi*, alpha) pair with derived objects.
 
     psi / psi_prime are the Legendre dual and its derivative, in closed form
-    where the family admits one and otherwise via the numeric conjugate
-    (monotone inversion of (Psi*)').  alpha_grad_u gives d alpha / d u,
-    clamped near the boundary of the quadrant; it exists for every shipped
-    family and is what the transport solvers differentiate.
+    where the family admits one and otherwise via the numeric conjugate: a
+    bisection for xi = ((Psi*)')^{-1}(s) that psi and psi_prime share on one
+    array, and Psi* by Gauss-Legendre panels over all elements at once.
+    alpha_grad_u gives d alpha / d u, clamped near the boundary of the
+    quadrant; it exists for every shipped family and is what the transport
+    solvers differentiate.
     """
 
     name: str
@@ -352,12 +363,21 @@ def _generating_derivative(f_of_r):
 
 
 def _numeric_conjugate(psi_star, psi_star_prime):
+    """Psi, Psi' via xi = ((Psi*)')^{-1}(s), memoizing the last inversion."""
+    last = []  # [copy of s, xi] of the last inversion
+
+    def invert(s):
+        s = np.asarray(s, dtype=float)
+        if not (last and np.array_equal(last[0], s)):
+            last[:] = [s.copy(), invert_increasing_odd(psi_star_prime, s)]
+        return last[1]
+
     def psi(s):
-        xi = invert_increasing_odd(psi_star_prime, s)
+        xi = invert(s)
         return np.asarray(s, dtype=float) * xi - psi_star(xi)
 
     def psi_prime(s):
-        return invert_increasing_odd(psi_star_prime, s)
+        return invert(s).copy()
 
     return psi, psi_prime
 
@@ -394,6 +414,9 @@ def _power_mean_family(p):
             xi = np.asarray(xi, dtype=float)
             with np.errstate(over="ignore"):
                 return np.sign(xi) * (np.exp(np.abs(xi)) - 1.0)
+
+        psi = lambda s: (1.0 + np.abs(s)) * np.log1p(np.abs(s)) - np.abs(s)
+        psi_prime = lambda s: np.sign(s) * np.log1p(np.abs(s))
     elif p == -1.0:
         def psi_star(xi):
             with np.errstate(over="ignore"):
@@ -402,6 +425,9 @@ def _power_mean_family(p):
         def psi_star_prime(xi):
             with np.errstate(over="ignore"):
                 return np.sinh(np.asarray(xi, dtype=float))
+
+        psi = lambda s: s * np.arcsinh(s) - np.sqrt(1.0 + np.square(s)) + 1.0
+        psi_prime = np.arcsinh
     else:
         def f_of_r(r, p=p):
             r = np.asarray(r, dtype=float)
@@ -415,7 +441,7 @@ def _power_mean_family(p):
         def psi_star(xi, g=psi_star_prime):
             return _gauss_quad_odd(g, xi)
 
-    psi, psi_prime = _numeric_conjugate(psi_star, psi_star_prime)
+        psi, psi_prime = _numeric_conjugate(psi_star, psi_star_prime)
     return DissipationSpec(
         "power_mean", {"p": p}, psi_star, psi_star_prime, psi, psi_prime,
         alpha, alpha_grad_u, alpha_recession_vanishes=(p <= 0.0),

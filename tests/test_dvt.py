@@ -13,9 +13,11 @@ from ggflow import (
     make_dissipation,
     make_entropy,
 )
+import ggflow.dvt
 from ggflow.dvt import (
     DVTProblem,
     _Transport,
+    cost_axioms_check,
     dvt_cost,
     feasible_curve,
     free_endpoint_step,
@@ -79,6 +81,30 @@ class TestTransportInternals:
                 Wm[idx] -= h
                 fd = (tr.value(Wp, 1e-3) - tr.value(Wm, 1e-3)) / (2 * h)
                 assert abs(fd - grad[idx]) < 1e-5 * (1.0 + abs(fd))
+
+    @pytest.mark.parametrize("family, params", [
+        ("cosh", {}), ("cosh", {"q": 0.5}), ("quadratic", {}),
+        ("power_mean", {"p": -0.5}), ("power_mean", {"p": -1.0}),
+        ("power_mean", {"p": -np.inf}), ("power_mean", {"p": 0.5}),
+        ("stolarsky", {"p": 1.0, "q": 0.0}), ("stolarsky", {"p": 2.0, "q": 1.0}),
+        ("constant_alpha", {}),
+    ])
+    def test_gradient_along_projected_directions(self, family, params):
+        # central differences of the stacked-node objective, every family
+        spec = make_dissipation(family, **params)
+        sys3 = three_state_system()
+        rng = np.random.default_rng(17)
+        u0, u1 = (u / (u * sys3.pi).sum() for u in rng.uniform(0.5, 2.0, size=(2, 3)))
+        eps, h = 1e-2, 1e-5
+        for pinned in (True, False):
+            tr = _Transport(sys3, spec, 0.7, u0, M=4, u1=u1 if pinned else None,
+                            entropy=None if pinned else BOLTZ)
+            W = tr.project(tr.initial_point() + 0.05 * rng.normal(size=(4, tr.K)))
+            _, grad = tr.value_and_grad(W, eps)
+            for _ in range(2):
+                D = tr.project(W + rng.normal(size=W.shape)) - W
+                fd = (tr.value(W + h * D, eps) - tr.value(W - h * D, eps)) / (2 * h)
+                assert abs(fd - (grad * D).sum()) <= 1e-6 * abs(fd)
 
     def test_projection_restores_constraint(self):
         prob = quadratic_two_state_problem()
@@ -203,6 +229,22 @@ class TestDVTCost:
         rho1 = Measure.from_rho(sysd, [0.2, 0.2, 0.3, 0.3])
         with pytest.raises(Infeasible):
             dvt_cost(DVTProblem(system=sysd, spec=COSH, tau=1.0, rho0=rho0, rho1=rho1))
+
+
+class TestCostAxioms:
+    def test_nine_solves_per_triple_and_scaling_check_can_fail(self, monkeypatch):
+        # with time_dilation ignored, W on [0, tau] stands in for W(2 tau)
+        solves = []
+        real = ggflow.dvt.dvt_cost
+
+        def no_dilation(problem, time_dilation=1.0, strict=False):
+            solves.append(time_dilation)
+            return real(problem, strict=strict)
+
+        monkeypatch.setattr(ggflow.dvt, "dvt_cost", no_dilation)
+        report = cost_axioms_check(three_state_system(), COSH, n_triples=1, M=8, seed=3)
+        assert len(solves) == 9 and solves.count(2.0) == 1
+        assert report["scaling_identity"] > 0.0
 
 
 class TestFreeEndpoint:

@@ -14,7 +14,10 @@ from ggflow import (
     make_dissipation,
     make_entropy,
 )
+import ggflow.potentials
 from ggflow.potentials import (
+    _gauss_quad_odd,
+    _numeric_conjugate,
     dissipation_from_dict,
     entropy_from_dict,
     invert_increasing_odd,
@@ -144,9 +147,78 @@ class TestDualityInvariants:
 
     def test_harmonic_numeric_conjugate_against_closed_form(self):
         pm = make_dissipation("power_mean", p=-1.0)
+        psi, _ = _numeric_conjugate(pm.psi_star, pm.psi_star_prime)
         ss = np.linspace(-3.0, 3.0, 13)
         expected = ss * np.arcsinh(ss) - np.sqrt(1.0 + ss * ss) + 1.0
-        np.testing.assert_allclose(np.asarray(pm.psi(ss)), expected, atol=1e-9)
+        np.testing.assert_allclose(np.asarray(psi(ss)), expected, atol=1e-9)
+
+    def test_min_mean_numeric_conjugate_against_closed_form(self):
+        pm = make_dissipation("power_mean", p=-np.inf)
+        psi, _ = _numeric_conjugate(pm.psi_star, pm.psi_star_prime)
+        ss = np.linspace(-3.0, 3.0, 13)
+        expected = (1.0 + np.abs(ss)) * np.log(1.0 + np.abs(ss)) - np.abs(ss)
+        np.testing.assert_allclose(np.asarray(psi(ss)), expected, atol=1e-9)
+
+    @pytest.mark.parametrize("p", [-1.0, -np.inf])
+    def test_closed_form_duals_match_numeric_conjugate(self, p):
+        pm = make_dissipation("power_mean", p=p)
+        psi, psi_prime = _numeric_conjugate(pm.psi_star, pm.psi_star_prime)
+        ss = np.linspace(-6.0, 6.0, 25)
+        np.testing.assert_allclose(np.asarray(pm.psi(ss)), psi(ss), atol=1e-9)
+        np.testing.assert_allclose(np.asarray(pm.psi_prime(ss)), psi_prime(ss), atol=1e-12)
+
+
+NUMERIC_DUALS = [("power_mean", {"p": -0.5}), ("stolarsky", {"p": 1.0, "q": 0.0}),
+                 ("stolarsky", {"p": 2.0, "q": 1.0})]
+
+
+class TestNumericDual:
+    @pytest.mark.parametrize("family, params", NUMERIC_DUALS)
+    def test_panel_quadrature_against_scipy_quad(self, family, params):
+        g = make_dissipation(family, **params).psi_star_prime
+        finite = np.array([0.0, 1e-6, -1e-6, 0.3, -0.3, 2.5, -2.5, 40.0, -40.0])
+        got = _gauss_quad_odd(g, np.append(finite, [np.inf, -np.inf]))
+        for x, val in zip(finite, got):
+            want = quad(lambda t: float(g(t)), 0.0, abs(x), epsabs=0.0, epsrel=1e-11,
+                        limit=200)[0]
+            # (e^s - 1) in the integrand limits the relative accuracy near 0
+            assert abs(val - want) <= 1e-9 * abs(want)
+            assert _gauss_quad_odd(g, x) == val
+        assert np.all(got[-2:] == np.inf)
+
+    def test_panel_quadrature_across_chunks(self):
+        g = make_dissipation("power_mean", p=-0.5).psi_star_prime
+        xs = np.linspace(-40.0, 40.0, 801).reshape(3, 267)
+        panels = np.ceil(2.0 * np.abs(xs)).sum()
+        assert panels > ggflow.potentials._QUAD_CHUNK
+        got = _gauss_quad_odd(g, xs)
+        assert got.shape == xs.shape
+        singles = np.array([_gauss_quad_odd(g, x) for x in xs.ravel()]).reshape(xs.shape)
+        np.testing.assert_allclose(got, singles, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("family, params", NUMERIC_DUALS)
+    def test_psi_pair_shares_one_inversion(self, family, params, monkeypatch):
+        ss = np.random.default_rng(3).uniform(-5.0, 5.0, size=(3, 4, 6))
+        fresh_psi = make_dissipation(family, **params).psi(ss)
+        fresh_prime = make_dissipation(family, **params).psi_prime(ss)
+        spec = make_dissipation(family, **params)
+        calls = []
+        real = ggflow.potentials.invert_increasing_odd
+        monkeypatch.setattr(ggflow.potentials, "invert_increasing_odd",
+                            lambda g, s: calls.append(1) or real(g, s))
+        psi, prime = spec.psi(ss), spec.psi_prime(ss)
+        assert len(calls) == 1
+        assert np.array_equal(psi, fresh_psi) and np.array_equal(prime, fresh_prime)
+        prime[...] = 0.0  # the caller owns what it gets back
+        assert np.array_equal(spec.psi_prime(ss), fresh_prime)
+
+    def test_mutated_argument_is_inverted_again(self):
+        spec = make_dissipation("power_mean", p=-0.5)
+        ss = np.linspace(-4.0, 4.0, 9)
+        spec.psi(ss)
+        ss *= 0.5
+        want = make_dissipation("power_mean", p=-0.5).psi_prime(ss)
+        assert np.array_equal(spec.psi_prime(ss), want)
 
 
 class TestAlphaProperties:
