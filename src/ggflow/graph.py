@@ -233,12 +233,10 @@ class CurveWithFlux:
 
     def interval_flux_integrals(self):
         """Per-interval time integrals of the flux matrix."""
-        dt = np.diff(self.times)
-        if len(self.fluxes) == len(self.times) - 1:
-            return [dt[m] * self.fluxes[m].j for m in range(dt.size)]
-        raise GridMismatch(
-            f"{len(self.fluxes)} fluxes do not align with {len(self.times)} times"
-        )
+        if len(self.fluxes) != len(self.times) - 1:
+            raise GridMismatch(
+                f"{len(self.fluxes)} fluxes do not align with {len(self.times)} times")
+        return [dt * flux.j for dt, flux in zip(np.diff(self.times), self.fluxes)]
 
 
 def ce_residual(system, times, states, fluxes):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -222,8 +223,10 @@ def invert_increasing_odd(g, s, iters=80):
     return np.sign(s) * 0.5 * (lo + hi)
 
 
-_GL = []  # 16-point Gauss-Legendre nodes and weights, made on first use
 _QUAD_CHUNK = 2 ** 14  # panels per call of the integrand
+# 16-point Gauss-Legendre nodes and weights, on first use: numpy.polynomial
+# takes about 3.6 ms to import, which set-ups without a numeric dual skip
+_leggauss16 = cache(lambda: np.polynomial.legendre.leggauss(16))
 
 
 def _gauss_quad_odd(g, xi):
@@ -232,8 +235,7 @@ def _gauss_quad_odd(g, xi):
     ceil(2 |xi|) panels of 16-point Gauss-Legendre per element, laid end to
     end over all elements; g sees _QUAD_CHUNK panels at a time.
     """
-    if not _GL:  # numpy.polynomial is imported only where it is needed
-        _GL.extend(np.polynomial.legendre.leggauss(16))
+    nodes, weights = _leggauss16()
     xi = np.asarray(xi, dtype=float)
     xa = np.abs(xi).ravel()
     out = np.where(np.isfinite(xa), 0.0, np.inf)
@@ -249,9 +251,9 @@ def _gauss_quad_odd(g, xi):
         h = b[o] / npan[o]
         lo, hi = kk * h, np.where(kk + 1 == npan[o], b[o], (kk + 1) * h)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        pts = mid[:, None] + half[:, None] * _GL[0][None, :]
+        pts = mid[:, None] + half[:, None] * nodes[None, :]
         with np.errstate(over="ignore", invalid="ignore"):
-            panel = (half[:, None] * _GL[1][None, :] * g(pts)).sum(axis=1)
+            panel = (half[:, None] * weights[None, :] * g(pts)).sum(axis=1)
             sums += np.bincount(o, weights=panel, minlength=b.size)
     out[live] = np.where(np.isfinite(sums), sums, np.inf)  # overflow: superlinear blowup
     return float(out[0]) if xi.ndim == 0 else out.reshape(xi.shape)

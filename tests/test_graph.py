@@ -7,6 +7,7 @@ from ggflow import (
     DetailedBalanceViolation,
     Flux,
     GraphSystem,
+    GridMismatch,
     Measure,
     NegativeRate,
     NonPositivePi,
@@ -164,3 +165,13 @@ class TestContinuityResidual:
         ]
         rep = ce_residual(sys2, tgrid, states, fluxes)
         assert rep.residual > 1e-3
+
+    @pytest.mark.parametrize("n_fluxes", [11, 9])
+    def test_fluxes_not_one_per_interval_rejected(self, n_fluxes):
+        # one flux per time node (11) or one too few (9) on 10 intervals
+        sys2 = two_state()
+        tgrid = np.linspace(0.0, 1.0, 11)
+        states = [Measure.from_rho(sys2, [0.5, 0.5]) for _ in tgrid]
+        fluxes = [Flux.from_matrix(np.zeros((2, 2))) for _ in range(n_fluxes)]
+        with pytest.raises(GridMismatch, match=f"{n_fluxes} fluxes"):
+            ce_residual(sys2, tgrid, states, fluxes)

@@ -1,38 +1,26 @@
 """Paired perfbench runs of a parent checkout and of this checkout, into one JSON file.
 
     python3 tools/bench_pr.py --parent <checkout> --out <file.json> \
-        --workloads dvt-families jko-taus --seeds 1 2 3 [--trace 0|1] [--seconds S]
+        --workloads dvt-families jko-taus --seeds 1 2 3 [--trace 0|1]
 
-Per workload and seed, ``perfbench/run.py`` runs once in each checkout, in a
-fresh process; odd seeds run the parent first, even seeds this checkout, so a
+Per workload and seed, ``perfbench/run.py`` runs once in each checkout for
+BENCHMARK.json's ``run_seconds``, in a fresh process started by perfbench's
+``launch``; odd seeds run the parent first, even seeds this checkout, so a
 slow period of a shared machine hits both sides.  Each run appends a record to
-``--out`` (kept across calls): side, workload, seed, trace, run duration, and
-run.py's stderr summary and stdout result lines (null when it exits nonzero).
-``--seconds`` defaults to BENCHMARK.json's ``run_seconds``.  Stdlib only.
+``--out`` (kept across calls): side, workload, seed, trace, run duration and
+run.py's result line (null when it exits nonzero).  Stdlib only.
 """
 
 import argparse
 import json
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-
-def run(root, workload, seed, trace, seconds):
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True)
-    run_s = round(time.perf_counter() - start, 3)
-    summary = [json.loads(line.split(" ", 1)[1]) for line in proc.stderr.splitlines()
-               if line.startswith("perfbench: {")] or [None]
-    lines = proc.stdout.strip().splitlines() if proc.returncode == 0 else []
-    return {"workload": workload, "seed": seed, "trace": trace, "run_s": run_s,
-            "summary": summary[-1], "result": json.loads(lines[-1]) if lines else None}
+from report import launch  # noqa: E402
 
 
 def main(argv=None):
@@ -42,18 +30,23 @@ def main(argv=None):
     p.add_argument("--workloads", nargs="+", required=True)
     p.add_argument("--seeds", nargs="+", type=int, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--seconds", type=float,
-                   default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     args = p.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     records = json.loads(args.out.read_text())["runs"] if args.out.exists() else []
     for workload in args.workloads:
         for seed in args.seeds:
-            sides = [("parent", args.parent), ("change", ROOT)]
+            sides = [("parent", args.parent.resolve()), ("change", ROOT)]
             for side, root in sides if seed % 2 else sides[::-1]:
-                rec = {"side": side, **run(root, workload, seed, args.trace, args.seconds)}
-                records.append(rec)
+                start = time.perf_counter()
+                proc, result = launch("--workload", workload, "--seed", seed, "--seconds",
+                                      seconds, "--trace", args.trace, cwd=root)
+                run_s = round(time.perf_counter() - start, 3)
+                records.append({"side": side, "workload": workload, "seed": seed,
+                                "trace": args.trace, "run_s": run_s, "result": result})
                 args.out.write_text(json.dumps({"runs": records}, indent=1) + "\n")
-                print(f"{side:6s} {workload} seed {seed}: {rec['run_s']:.1f} s", flush=True)
+                print(f"{side:6s} {workload} seed {seed}: {run_s:.1f} s"
+                      + ("" if result else f", exit {proc.returncode}:\n{proc.stderr}"),
+                      flush=True)
 
 
 if __name__ == "__main__":
