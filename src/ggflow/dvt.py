@@ -13,11 +13,12 @@ call, which for a numeric Legendre dual share one inversion (`DissipationSpec`).
 The smoothed weight alpha + eps removes the infinite cells of the
 perspective cost; the solver runs a decreasing eps schedule with warm
 starts and reports a Richardson extrapolation of the value at eps -> 0.
-Minimization is accelerated projected gradient (FISTA with backtracking and
-adaptive restart); the affine continuity constraints reduce, after
-eliminating the interior states, to a single divergence constraint on the
-time-aggregated flux, whose projection uses a precomputed pseudo-inverse of
-a theta^2-weighted graph Laplacian.
+Minimization is L-BFGS on the projected gradient with a monotone Armijo
+line search (Liu & Nocedal, Math. Program. 45, 1989), on NumPy alone; the
+affine continuity constraints reduce, after eliminating the interior states,
+to a single divergence constraint on the time-aggregated flux, whose
+projection uses a precomputed pseudo-inverse of a theta^2-weighted graph
+Laplacian.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ from .functionals import action_rate, energy
 _FLOOR = 1e-12
 _GAUSS_NODES = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
 _GAUSS_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+_LBFGS_MEMORY = 10  # curvature pairs kept by the transport solver
+_ARMIJO = 1e-4  # its sufficient-decrease constant
+_F_NOISE = 1e-14  # relative rounding level of the objective
+_STEPS = 0.5 ** np.arange(67)  # line-search steps 1, 1/2, ..., ~1e-20, then a stall
 
 
 # ---------------------------------------------------------------------------
@@ -191,81 +196,76 @@ class _Transport:
 
     # -- constraint projection ----------------------------------------------
 
-    def project(self, W):
+    def project(self, W, linear=False):
+        """Orthogonal projection onto B @ sum_m W[m] = rhs, or onto its null space
+        (`linear`, mapping g to P(g)): W - B^T (B B^T)^+ r / M in every interval."""
         if not self.pinned:
             return W
-        r = self.B @ W.sum(axis=0) - self.rhs
-        lam = self.BBt_pinv @ r
-        return W - (self.B.T @ lam)[None, :] / self.M
-
-    def projected_gradient_norm(self, g):
-        if self.pinned:
-            r = self.B @ g.sum(axis=0)
-            lam = self.BBt_pinv @ r
-            g = g - (self.B.T @ lam)[None, :] / self.M
-        return float(np.abs(g).max())
+        r = self.B @ W.sum(axis=0) - (0.0 if linear else self.rhs)
+        return W - (self.B.T @ (self.BBt_pinv @ r))[None, :] / self.M
 
     def initial_point(self):
         if self.pinned:
-            S = self.B.T @ (self.BBt_pinv @ self.rhs)
-            W0 = np.tile(S / self.M, (self.M, 1))
-            return self.project(W0)
+            return np.tile(self.B.T @ (self.BBt_pinv @ self.rhs) / self.M, (self.M, 1))
         return np.zeros((self.M, self.K))
 
-    # -- FISTA ----------------------------------------------------------------
+    # -- L-BFGS ---------------------------------------------------------------
 
     def minimize(self, eps, W0=None, kkt_tol=1e-8, max_iter=20000):
-        x = self.initial_point() if W0 is None else self.project(W0.copy())
-        fx, gx = self.value_and_grad(x, eps)
-        y = x.copy()
-        t = 1.0
-        L = 1.0
-        kkt = self.projected_gradient_norm(gx)
-        best = (fx, x.copy(), kkt)
-        it = 0
-        for it in range(1, max_iter + 1):
-            fy, gy = self.value_and_grad(y, eps)
-            while True:
-                x_new = self.project(y - gy / L)
-                diff = x_new - y
-                f_new = self.value(x_new, eps)
-                model = fy + float((gy * diff).sum()) + 0.5 * L * float(
-                    (diff * diff).sum()
-                )
-                if f_new <= model + 1e-13 * (1.0 + abs(fy)):
+        """L-BFGS on P(g), Armijo backtracking from step 1, one value_and_grad per trial.
+
+        Steps stay in the constraint's null space and f never rises beyond rounding,
+        so the last iterate is the best; `self.backtracks` counts rejected trials."""
+        x = self.initial_point() if W0 is None else self.project(W0)
+        f, g = self.value_and_grad(x, eps)
+        g = self.project(g, linear=True)
+        pairs = []  # curvature pairs (s, y, 1/s.y), oldest first
+        self.backtracks = 0
+        for it in range(max_iter + 1):
+            kkt = float(np.abs(g).max())
+            if kkt <= kkt_tol or it == max_iter:
+                return x, f, kkt, it, kkt <= kkt_tol
+            d = _two_loop(g, pairs)
+            slope = float((g * d).sum())
+            if not slope < 0.0:
+                d, slope = -g, -float((g * g).sum())
+            for t in _STEPS:
+                x_new = x + t * d
+                f_new, g_new = self.value_and_grad(x_new, eps)
+                g_new = self.project(g_new, linear=True)
+                # Armijo, or its derivative form once f changes by rounding only
+                if f_new <= f + _ARMIJO * t * slope or (
+                    f_new <= f + _F_NOISE * abs(f)
+                    and float((g_new * d).sum()) <= (2.0 * _ARMIJO - 1.0) * slope
+                ):
                     break
-                L *= 2.0
-                if L > 1e18:
-                    break
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            momentum = (t - 1.0) / t_new
-            if f_new > fx + 1e-13 * (1.0 + abs(fx)):
-                # adaptive restart: drop momentum when the objective rises
-                y = x.copy()
-                t = 1.0
-                L *= 0.5
-                continue
-            y = x_new + momentum * (x_new - x)
-            x, fx = x_new, f_new
-            t = t_new
-            L = max(L * 0.9, 1e-12)
-            if it % 5 == 0 or it == max_iter:
-                g_here = self.value_and_grad(x, eps)[1]
-                kkt = self.projected_gradient_norm(g_here)
-                if fx < best[0]:
-                    best = (fx, x.copy(), kkt)
-                if kkt <= kkt_tol:
-                    return x, fx, kkt, it, True
-        fb, xb, kb = best
-        if fx < fb:
-            return x, fx, kkt, it, False
-        return xb, fb, kb, it, False
+                self.backtracks += 1
+            else:
+                return x, f, kkt, it, False
+            s, y = x_new - x, g_new - g
+            sy = float((s * y).sum())
+            if sy > 0.0:
+                pairs.append((s, y, 1.0 / sy))
+                del pairs[:-_LBFGS_MEMORY]
+            x, f, g = x_new, f_new, g_new
+
+
+def _two_loop(g, pairs):
+    """-H g for the L-BFGS inverse Hessian H of the curvature pairs (s, y, 1/s.y)."""
+    q, alphas = g.copy(), []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * float((s * q).sum()))
+        q -= alphas[-1] * y
+    if pairs:
+        q /= pairs[-1][2] * float((pairs[-1][1] ** 2).sum())
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * float((y * q).sum())) * s
+    return -q
 
 
 def _solve_schedule(tr, schedule, kkt_tol, max_iter):
     values = []
     W = None
-    kkt = np.inf
     iters = 0
     ok_all = True
     for eps in schedule:

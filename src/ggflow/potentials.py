@@ -351,13 +351,12 @@ def _quadratic_family():
 
 
 def _generating_derivative(f_of_r):
-    """(Psi*)' from a concave generating function f: g(s) = (e^s - 1)/f(e^s)."""
+    """(Psi*)' from a concave generating function f: g(s) = expm1(s)/f(e^s)."""
 
     def g(s):
         s = np.asarray(s, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            r = np.exp(s)
-            val = (r - 1.0) / f_of_r(r)
+            val = np.expm1(s) / f_of_r(np.exp(s))
             blowup = np.where(s > 0, np.inf, np.where(s < 0, -np.inf, 0.0))
         return np.where(np.isfinite(val), val, blowup)
 

@@ -44,6 +44,20 @@ def quadratic_two_state_problem(M=8):
     )
 
 
+def small_ring(n=6, seed=0):
+    """Ring with random pi and edge weights, and two random endpoint measures."""
+    rng = np.random.default_rng(seed)
+    pi = rng.uniform(0.5, 1.5, size=n)
+    pi /= pi.sum()
+    theta = np.zeros((n, n))
+    for i in range(n):
+        j = (i + 1) % n
+        theta[i, j] = theta[j, i] = rng.uniform(0.5, 1.5)
+    system = build_system(pi, theta / pi[:, None])
+    r0, r1 = (r / r.sum() for r in rng.uniform(0.2, 1.0, size=(2, n)))
+    return system, Measure.from_rho(system, r0), Measure.from_rho(system, r1)
+
+
 class TestTransportInternals:
     def test_states_recursion_endpoint(self):
         prob = quadratic_two_state_problem()
@@ -105,6 +119,32 @@ class TestTransportInternals:
                 D = tr.project(W + rng.normal(size=W.shape)) - W
                 fd = (tr.value(W + h * D, eps) - tr.value(W - h * D, eps)) / (2 * h)
                 assert abs(fd - (grad * D).sum()) <= 1e-6 * abs(fd)
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_one_objective_evaluation_per_trial_point(self, pinned):
+        # each eps level: the start point, one accepted trial per iteration,
+        # and one per backtrack; the accepted trial's gradient is reused
+        sys3 = three_state_system()
+        u0, u1 = np.array([2.1, 0.6, 0.3]), np.array([0.6, 0.9, 1.5])
+        tr = _Transport(sys3, COSH, 0.2, u0, M=8, u1=u1 if pinned else None,
+                        entropy=None if pinned else BOLTZ)
+        real, points = tr.value_and_grad, []
+
+        def counting(W, eps):
+            points.append(W.copy())
+            return real(W, eps)
+
+        tr.value_and_grad = counting
+        W, backtracks = None, 0
+        for eps in (1e-2, 1e-3, 1e-4):
+            points.clear()
+            W, _, kkt, it, ok = tr.minimize(eps, W0=W)
+            assert ok and kkt <= 1e-8 and it > 0
+            assert len(points) == 1 + it + tr.backtracks
+            assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+            backtracks += tr.backtracks
+        if pinned:  # this fixture backtracks, so rejected trials are counted too
+            assert backtracks > 0
 
     def test_projection_restores_constraint(self):
         prob = quadratic_two_state_problem()
@@ -207,13 +247,33 @@ class TestDVTCost:
             rho0=Measure.from_rho(three_state_system(), [0.7, 0.2, 0.1]),
             rho1=Measure.from_rho(three_state_system(), [0.2, 0.3, 0.5]),
             kkt_tol=1e-16,  # unreachable on purpose
-            max_iter=40,
+            max_iter=2,  # and too few iterations to get near it
         )
         sol = dvt_cost(prob)
         assert not sol.converged
         assert "stalled" in sol.status and np.isfinite(sol.value)
         with pytest.raises(SolverStalled):
             dvt_cost(prob, strict=True)
+
+    @pytest.mark.parametrize("family, params", [("cosh", {}), ("power_mean", {"p": -0.5})])
+    def test_pinned_endpoint_stays_on_constraint(self, family, params):
+        system, rho0, rho1 = small_ring()
+        sol = dvt_cost(DVTProblem(system=system, spec=make_dissipation(family, **params),
+                                  tau=1.0, rho0=rho0, rho1=rho1))
+        assert sol.converged
+        assert np.abs(sol.curve.states[-1].u - rho1.u).max() <= 1e-12
+
+    @pytest.mark.parametrize("family, params", [("cosh", {}), ("power_mean", {"p": -0.5})])
+    def test_default_tolerance_value_matches_tight_solve(self, family, params):
+        system, rho0, rho1 = small_ring()
+        spec = make_dissipation(family, **params)
+        sol, ref = (
+            dvt_cost(DVTProblem(system=system, spec=spec, tau=1.0, rho0=rho0, rho1=rho1,
+                                kkt_tol=tol))
+            for tol in (1e-8, 1e-11)
+        )
+        assert sol.converged and ref.converged
+        assert abs(sol.value - ref.value) <= 1e-9 * ref.value
 
     def test_cross_component_transport_infeasible(self):
         sysd = build_system(
@@ -261,6 +321,20 @@ class TestFreeEndpoint:
         end, diag = free_endpoint_step(sys3, COSH, BOLTZ, 0.2, m)
         assert diag["energy"] < energy(BOLTZ, sys3, m) - 1e-4
         assert diag["w_value"] >= -1e-8
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("tau", [0.2, 0.05])
+    def test_endpoint_matches_tight_solve(self, seed, tau):
+        # the endpoint is poorly conditioned at kkt 1e-8: on 6- and 20-state
+        # rings its max-norm error against a kkt 1e-11 solve is up to 9e-7
+        system, rho0, _ = small_ring(seed=seed)
+        (end, diag), (ref, rdiag) = (
+            free_endpoint_step(system, COSH, BOLTZ, tau, rho0, kkt_tol=tol)
+            for tol in (1e-8, 1e-11)
+        )
+        assert diag["converged"] and rdiag["converged"]
+        assert np.abs(end.u - ref.u).max() <= 1e-6 * np.abs(ref.u).max()
+        assert abs(diag["objective"] - rdiag["objective"]) <= 1e-9 * abs(rdiag["objective"])
 
 
 class TestWAction:

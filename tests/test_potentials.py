@@ -181,10 +181,21 @@ class TestNumericDual:
         for x, val in zip(finite, got):
             want = quad(lambda t: float(g(t)), 0.0, abs(x), epsabs=0.0, epsrel=1e-11,
                         limit=200)[0]
-            # (e^s - 1) in the integrand limits the relative accuracy near 0
+            # stolarsky(2, 1)'s mean of (e^s, 1) limits the relative accuracy near 0
             assert abs(val - want) <= 1e-9 * abs(want)
             assert _gauss_quad_odd(g, x) == val
         assert np.all(got[-2:] == np.inf)
+
+    @pytest.mark.parametrize("family, params, f_of_s", [
+        ("power_mean", {"p": -0.5}, lambda s: (0.5 * (math.exp(-0.5 * s) + 1.0)) ** -2.0),
+        ("stolarsky", {"p": 1.0, "q": 0.0}, lambda s: math.expm1(s) / s),
+    ], ids=["power_mean", "stolarsky"])
+    def test_generating_derivative_near_zero(self, family, params, f_of_s):
+        # (Psi*)'(s) = (e^s - 1)/f(e^s); e^s - 1 must not cancel
+        g = make_dissipation(family, **params).psi_star_prime
+        for s in (1e-4, -1e-4, 1e-6, -1e-6, 1e-8, -1e-8):
+            want = math.expm1(s) / f_of_s(s)
+            assert abs(float(g(s)) - want) <= 1e-14 * abs(want)
 
     def test_panel_quadrature_across_chunks(self):
         g = make_dissipation("power_mean", p=-0.5).psi_star_prime
