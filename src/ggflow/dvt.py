@@ -230,7 +230,7 @@ class _Transport:
             if not slope < 0.0:
                 d, slope = -g, -float((g * g).sum())
             for t in _STEPS:
-                x_new = x + t * d
+                x_new = self.project(x + t * d)  # no rounding drift off the affine set
                 f_new, g_new = self.value_and_grad(x_new, eps)
                 g_new = self.project(g_new, linear=True)
                 # Armijo, or its derivative form once f changes by rounding only

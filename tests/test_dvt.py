@@ -255,9 +255,12 @@ class TestDVTCost:
         with pytest.raises(SolverStalled):
             dvt_cost(prob, strict=True)
 
-    @pytest.mark.parametrize("family, params", [("cosh", {}), ("power_mean", {"p": -0.5})])
-    def test_pinned_endpoint_stays_on_constraint(self, family, params):
-        system, rho0, rho1 = small_ring()
+    @pytest.mark.parametrize("family, params, n", [
+        ("cosh", {}, 6), ("cosh", {}, 50), ("power_mean", {"p": -0.5}, 6),
+    ])
+    def test_pinned_endpoint_stays_on_constraint(self, family, params, n):
+        # unprojected trial points drift off the affine set by 2e-12 at n = 50
+        system, rho0, rho1 = small_ring(n=n)
         sol = dvt_cost(DVTProblem(system=system, spec=make_dissipation(family, **params),
                                   tau=1.0, rho0=rho0, rho1=rho1))
         assert sol.converged
