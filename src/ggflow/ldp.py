@@ -1,5 +1,5 @@
-"""Particle-level grounding: exact-event simulation of independent jump
-processes, empirical measures and fluxes, and the sample-path rate
+"""Particle-level grounding: simulation of independent jump processes by
+uniformization, empirical measures and fluxes, and the sample-path rate
 functional.
 
 n independent walkers follow the jump kernel; the empirical measure is the
@@ -49,85 +49,85 @@ class ParticleEnsemble:
     def n_events(self):
         return self.event_times.size
 
-    def to_rows(self):
-        return zip(self.event_times, self.event_particles, self.event_from,
-                   self.event_to)
-
 
 def gillespie(system, n, T, seed=0, rho0=None):
-    """Exact-event simulation of n i.i.d. walkers with kernel kappa.
+    """Simulate n i.i.d. walkers with kernel kappa by uniformization.
 
+    Each walker sees Poisson(Lambda T) clock ticks, Lambda the largest exit
+    rate, and at each tick moves by the kernel I + L / Lambda; ticks that
+    stay put are dropped, so the log is that of the jump process itself.
     Initial states are sampled from rho0 (default: pi, normalized).  Each
     particle owns a counter-based substream Philox(key=[seed, particle]),
-    so the log is reproducible and independent of scheduling order.
+    so its path does not depend on n or on the other particles.
     """
     if n < 1:
         raise ValueError("need at least one particle")
-    kappa = system.kappa
-    exit_rates = kappa.sum(axis=1)
-    cum_rows = np.cumsum(kappa, axis=1)
-    with np.errstate(invalid="ignore"):
-        cum_rows = cum_rows / np.where(exit_rates > 0, exit_rates, 1.0)[:, None]
-    p0 = system.pi / system.mass if rho0 is None else (
-        np.asarray(rho0, dtype=float) / float(np.asarray(rho0, dtype=float).sum())
-    )
-    cum_p0 = np.cumsum(p0)
+    n_states = system.n
+    exit_rates = system.kappa.sum(axis=1)
+    lam = float(exit_rates.max())
+    kernel = np.eye(n_states) + (system.kappa - np.diag(exit_rates)) / (lam or 1.0)
+    # row s of the flat table is offset by s and ends at exactly s + 1 (x / x
+    # is 1), so the draw s + u lands in no cell of zero mass, unless it rounds
+    # up to s + 1: then it falls back to the row's last cell with mass
+    cum = np.cumsum(kernel, axis=1)
+    flat = (cum / cum[:, -1:] + np.arange(n_states)[:, None]).ravel()
+    last_cell = np.arange(n_states) * n_states + n_states - 1 \
+        - np.argmax(kernel[:, ::-1] > 0, axis=1)
+    p0 = np.cumsum(system.pi if rho0 is None else np.asarray(rho0, dtype=float))
 
-    init = np.empty(n, dtype=np.int64)
-    times, parts, src, dst = [], [], [], []
+    u0, ticks = np.empty(n), np.empty(n, dtype=np.int64)
+    clocks, draws = [], []
     for i in range(n):
         rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-        state = int(np.searchsorted(cum_p0, rng.random()))
-        init[i] = state
-        t = 0.0
-        while exit_rates[state] > 0.0:
-            t += rng.exponential(1.0 / exit_rates[state])
-            if t > T:
-                break
-            nxt = int(np.searchsorted(cum_rows[state], rng.random()))
-            times.append(t)
-            parts.append(i)
-            src.append(state)
-            dst.append(nxt)
-            state = nxt
+        u0[i] = rng.random()
+        ticks[i] = k = rng.poisson(lam * T)
+        u = rng.random(2 * k)
+        u[:k].sort()
+        clocks.append(u[:k])
+        draws.append(u[k:])
+    init = np.searchsorted(p0 / p0[-1], u0, side="right")
+    times, draws = T * np.concatenate(clocks), np.concatenate(draws)
+    src, dst = np.empty((2, times.size), dtype=np.int64)
 
-    order = np.argsort(np.asarray(times), kind="stable")
-    return ParticleEnsemble(
-        n=n,
-        horizon=float(T),
-        seed=int(seed),
-        initial_states=init,
-        event_times=np.asarray(times, dtype=float)[order],
-        event_particles=np.asarray(parts, dtype=np.int64)[order],
-        event_from=np.asarray(src, dtype=np.int64)[order],
-        event_to=np.asarray(dst, dtype=np.int64)[order],
-    )
+    # one array step per tick index; by tick count, live walkers form a prefix
+    order = np.argsort(-ticks, kind="stable")
+    first = (np.cumsum(ticks) - ticks)[order]
+    state = init[order]
+    live = n - np.cumsum(np.bincount(ticks))
+    for m, count in enumerate(live[:-1]):
+        pos = first[:count] + m
+        s = src[pos] = state[:count]
+        cell = np.searchsorted(flat, s + draws[pos], side="right")
+        dst[pos] = state[:count] = np.minimum(cell, last_cell[s]) - s * n_states
+
+    moved = src != dst
+    times = times[moved]
+    order = np.argsort(times, kind="stable")
+    return ParticleEnsemble(n, float(T), int(seed), init, times[order],
+                            np.repeat(np.arange(n), ticks)[moved][order],
+                            src[moved][order], dst[moved][order])
 
 
 def empirical_path(system, ensemble, bins=100):
     """Bin the event log: measures at bin edges, one flux matrix per bin.
 
-    By construction the measure increment over each bin equals minus the
-    divergence of the binned flux (a counting identity, exact).
+    An event at time t counts in the bin of the first edge with t <= edge.
+    Node occupations and jump counts are separate reductions of the log, and
+    the measure increment over each bin equals minus the divergence of the
+    binned flux (a counting identity, exact up to the division by n).
     """
-    n_states = system.n
-    edges = np.linspace(0.0, ensemble.horizon, int(bins) + 1)
-    counts = np.bincount(ensemble.initial_states, minlength=n_states).astype(float)
-    measures = [Measure.from_rho(system, counts / ensemble.n)]
-    fluxes = []
-    ptr = 0
-    ev_t = ensemble.event_times
-    for b in range(int(bins)):
-        jump_counts = np.zeros((n_states, n_states))
-        while ptr < ev_t.size and ev_t[ptr] <= edges[b + 1]:
-            i = ensemble.event_from[ptr]
-            j = ensemble.event_to[ptr]
-            jump_counts[i, j] += 1.0
-            counts[i] -= 1.0
-            counts[j] += 1.0
-            ptr += 1
-        fluxes.append(Flux.from_matrix(jump_counts / ensemble.n))
-        measures.append(Measure.from_rho(system, counts / ensemble.n))
+    n_states, bins = system.n, int(bins)
+    edges = np.linspace(0.0, ensemble.horizon, bins + 1)
+    cell = np.searchsorted(edges[1:-1], ensemble.event_times, side="left") * n_states
+    size = bins * n_states
+    moves = (np.bincount(cell + ensemble.event_to, minlength=size)
+             - np.bincount(cell + ensemble.event_from, minlength=size))
+    start = np.bincount(ensemble.initial_states, minlength=n_states)
+    occupation = np.cumsum(np.vstack([start, moves.reshape(bins, n_states)]), axis=0)
+    jumps = np.bincount((cell + ensemble.event_from) * n_states + ensemble.event_to,
+                        minlength=size * n_states).reshape(bins, n_states, n_states)
+    measures = [Measure.from_rho(system, c / ensemble.n) for c in occupation]
+    fluxes = [Flux.from_matrix(j / ensemble.n) for j in jumps]
     return edges, measures, fluxes
 
 
@@ -153,26 +153,26 @@ def path_rate(system, times, measures, fluxes):
 
     Zero exactly when every binned flux matches its expectation; grows with
     the squared relative fluctuation, so empirical paths of n walkers score
-    O(#bins * #edges / n).
+    O(#bins * #edges / n).  Conventions are `eta_perspective`'s, so flux
+    on a pair with kappa_ij = 0 costs +inf.
     """
     times = np.asarray(times, dtype=float)
     if len(measures) != times.size or len(fluxes) != times.size - 1:
         raise GridMismatch("need measures on bin edges and one flux per bin")
-    total = 0.0
-    for m in range(times.size - 1):
-        dt = times[m + 1] - times[m]
-        rho = measures[m].rho
-        jmat = fluxes[m].j
-        for i in range(system.n):
-            for j in range(system.n):
-                if i == j:
-                    continue
-                expected = rho[i] * system.kappa[i, j] * dt
-                observed = jmat[i, j]
-                if observed == 0.0 and expected == 0.0:
-                    continue
-                total += eta_perspective(observed, expected)
-    return float(total)
+    n_states = system.n
+    src, dst = np.nonzero(system.kappa)
+    rho = np.reshape([m.rho for m in measures[:-1]], (-1, n_states))
+    expected = rho[:, src] * system.kappa[src, dst] * np.diff(times)[:, None]
+    j_all = np.reshape([f.j for f in fluxes], (-1, n_states, n_states))
+    observed = j_all[:, src, dst]
+    if np.any(j_all < 0) or np.any(expected < 0):
+        raise ValueError("eta perspective needs nonnegative arguments")
+    flowing = observed > 0
+    if np.any(j_all.max(axis=0, initial=0.0)[system.kappa == 0] > 0) \
+            or np.any(expected[flowing] == 0.0):
+        return math.inf
+    a, b = observed[flowing], expected[flowing]
+    return float(expected[~flowing].sum() + np.sum(a * np.log(a / b) - a + b))
 
 
 def _golden_minimize(f, lo, hi, tol=1e-10):

@@ -189,9 +189,14 @@ def stolarsky_mean(u, v, p, q):
         elif p == 0.0:
             vals = ((uc ** q - vc ** q) / (q * (np.log(uc) - np.log(vc)))) ** (1.0 / q)
         else:
-            vals = ((p / q) * (vc ** q - uc ** q) / (vc ** p - uc ** p)) ** (
-                1.0 / (q - p)
-            )
+            # base * f(s) with s = log(other/base) and expm1 does not cancel
+            # for u ~ v; the mean is symmetric, so the base is the larger value
+            # when p + q >= 0 (the smaller otherwise), so expm1 stays finite
+            # whenever p and q share a sign
+            lo, hi = np.minimum(uc, vc), np.maximum(uc, vc)
+            base, other = (hi, lo) if p + q >= 0 else (lo, hi)
+            s = np.log(other / base)
+            vals = base * ((p / q) * np.expm1(q * s) / np.expm1(p * s)) ** (1.0 / (q - p))
     vals = np.where(near, 0.5 * (u + v), vals)
     both = (u > 0) & (v > 0)
     # boundary by continuity: evaluate the formula at a tiny floor

@@ -1,6 +1,11 @@
 import json
+import math
 import os
 
+import numpy as np
+import pytest
+
+from ggflow import cli
 from ggflow.cli import main
 
 
@@ -121,3 +126,46 @@ class TestLDPScenario:
                      "--out", str(tmp_path / "c")]) == 0
         report = json.loads((tmp_path / "c" / "report.json").read_text())
         assert report["seed"] == 6
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 0), ("n", "abc"), ("n", 2.5), ("bins", 0), ("bins", "ten"),
+        ("bins", True), ("seed", "abc"), ("seed", 1.5),
+        ("rho0", [0.5, 0.5]), ("rho0", [1.0, -1.0, 1.0]), ("rho0", [1.0, float("nan"), 0.0]),
+        ("rho0", [0.0, 0.0, 0.0]), ("rho0", "abc"),
+    ])
+    def test_bad_field_is_config_error(self, tmp_path, capsys, field, value):
+        cfg = {"system": SYSTEM_3, "n": 50, "T": 0.5, "seed": 5, "bins": 10, field: value}
+        path = write_config(tmp_path, cfg)
+        assert main(["ldp", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert repr(field) in capsys.readouterr().err
+
+    def test_counting_identity_reports_its_residual(self, tmp_path):
+        cfg = {"system": SYSTEM_3, "n": 200, "T": 1.0, "seed": 3, "bins": 7,
+               "rho0": [3.0, 1.0, 0.0]}
+        assert main(["ldp", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        entry = json.loads((tmp_path / "out" / "report.json").read_text())["checks"][
+            "counting_identity"]
+        assert entry["passed"] and 0.0 <= entry["value"] <= 1e-12
+
+
+def _rowwise_csv(header, rows):
+    # the per-row formatting the column writer replaced
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCSVWriter:
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 23])
+    def test_columns_match_rowwise_formatting(self, tmp_path, monkeypatch, n_rows):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 5)
+        specials = [0.1, -0.0, 1e-300, 1 / 3, math.inf, math.nan, -math.inf, 2.0]
+        floats = [specials[k % len(specials)] * (1 + k) for k in range(n_rows)]
+        ints = [(-1) ** k * 10 ** (k % 12) for k in range(n_rows)]
+        path = tmp_path / "out.csv"
+        cli._write_csv(str(path), ["x", "k", "y"],
+                       [np.array(floats), np.array(ints, dtype=np.int64), floats[::-1]])
+        rows = [(float(a), int(b), float(c)) for a, b, c in zip(floats, ints, floats[::-1])]
+        assert path.read_text() == _rowwise_csv(["x", "k", "y"], rows)

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 from conftest import three_state_system, two_state_system
 
@@ -66,6 +67,61 @@ class TestGillespie:
         avg = float(np.trapezoid(occ, edges)) / T
         sigma = math.sqrt(0.1419 / n)
         assert abs(avg - 0.5) <= 3.0 * sigma
+
+
+class TestUniformizedSampler:
+    RHO0 = np.array([0.6, 0.25, 0.15])
+
+    @staticmethod
+    def _occupations(system, rho0, T):
+        """rho(T) and int_0^T rho dt of the forward equation, from one expm."""
+        gen = (system.kappa - np.diag(system.kappa.sum(axis=1))).T
+        aug = np.zeros((2 * system.n, 2 * system.n))
+        aug[:system.n, :system.n] = gen
+        aug[:system.n, system.n:] = np.eye(system.n)
+        big = expm(T * aug)
+        return big[:system.n, :system.n] @ rho0, big[:system.n, system.n:] @ rho0
+
+    def test_occupation_at_horizon_matches_expm(self):
+        sys3 = three_state_system()
+        n, T = 4000, 1.5
+        ens = gillespie(sys3, n=n, T=T, seed=21, rho0=self.RHO0)
+        _, measures, _ = empirical_path(sys3, ens, bins=5)
+        p, _ = self._occupations(sys3, self.RHO0, T)
+        sigma = np.sqrt(p * (1.0 - p) / n)
+        assert np.all(np.abs(measures[-1].rho - p) <= 4.0 * sigma)
+
+    def test_edge_counts_match_expected_flux(self):
+        sys3 = three_state_system()
+        n, T = 4000, 1.5
+        ens = gillespie(sys3, n=n, T=T, seed=22, rho0=self.RHO0)
+        _, integral = self._occupations(sys3, self.RHO0, T)
+        for i, j in zip(*np.nonzero(sys3.kappa)):
+            hit = (ens.event_from == i) & (ens.event_to == j)
+            per_particle = np.bincount(ens.event_particles[hit], minlength=n)
+            mean = n * integral[i] * sys3.kappa[i, j]
+            sigma = math.sqrt(n * per_particle.var(ddof=1))
+            assert abs(per_particle.sum() - mean) <= 4.0 * sigma
+
+    def test_particle_paths_do_not_depend_on_n(self):
+        sys3 = three_state_system()
+        small = gillespie(sys3, n=10, T=2.0, seed=4)
+        large = gillespie(sys3, n=40, T=2.0, seed=4)
+        mine = large.event_particles < 10
+        np.testing.assert_array_equal(small.initial_states, large.initial_states[:10])
+        np.testing.assert_array_equal(small.event_times, large.event_times[mine])
+        np.testing.assert_array_equal(small.event_particles, large.event_particles[mine])
+        np.testing.assert_array_equal(small.event_from, large.event_from[mine])
+        np.testing.assert_array_equal(small.event_to, large.event_to[mine])
+
+    def test_zero_rates_divide_nothing(self):
+        sysz = build_system([0.25, 0.75], [[0.0, 0.0], [0.0, 0.0]])
+        with np.errstate(all="raise"):
+            ens = gillespie(sysz, n=200, T=3.0, seed=1)
+            _, measures, _ = empirical_path(sysz, ens, bins=4)
+        assert ens.n_events == 0
+        assert set(ens.initial_states.tolist()) == {0, 1}
+        assert measures[0].rho[0] == measures[-1].rho[0]
 
 
 class TestEmpiricalPath:

@@ -23,6 +23,7 @@ from ggflow.potentials import (
     invert_increasing_odd,
     logarithmic_mean,
     power_mean,
+    stolarsky_mean,
 )
 
 COSH = make_dissipation("cosh")
@@ -181,8 +182,8 @@ class TestNumericDual:
         for x, val in zip(finite, got):
             want = quad(lambda t: float(g(t)), 0.0, abs(x), epsabs=0.0, epsrel=1e-11,
                         limit=200)[0]
-            # stolarsky(2, 1)'s mean of (e^s, 1) limits the relative accuracy near 0
-            assert abs(val - want) <= 1e-9 * abs(want)
+            # to the reference's own requested accuracy
+            assert abs(val - want) <= 1e-11 * abs(want)
             assert _gauss_quad_odd(g, x) == val
         assert np.all(got[-2:] == np.inf)
 
@@ -196,6 +197,13 @@ class TestNumericDual:
         for s in (1e-4, -1e-4, 1e-6, -1e-6, 1e-8, -1e-8):
             want = math.expm1(s) / f_of_s(s)
             assert abs(float(g(s)) - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("s", [1e-4, 1e-6, 1e-8])
+    def test_stolarsky_general_branch_near_diagonal(self, s):
+        # stolarsky(2, 1) is the arithmetic mean; u ~ v must not cancel
+        for u, v in ((1.0, math.exp(s)), (math.exp(s), 1.0), (3.0, 3.0 * math.exp(-s))):
+            got = float(stolarsky_mean(u, v, 2.0, 1.0))
+            assert abs(got - 0.5 * (u + v)) <= 1e-14 * 0.5 * (u + v)
 
     def test_panel_quadrature_across_chunks(self):
         g = make_dissipation("power_mean", p=-0.5).psi_star_prime
