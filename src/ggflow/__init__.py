@@ -17,6 +17,7 @@ from .errors import (
     GGFlowError,
     GridMismatch,
     Infeasible,
+    InvalidDistribution,
     NegativeRate,
     NonConcaveAlpha,
     NonFiniteField,

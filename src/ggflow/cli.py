@@ -20,8 +20,8 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import GGFlowError
-from .graph import GraphSystem, Measure, ce_residual
+from .errors import GGFlowError, InvalidDistribution
+from .graph import GraphSystem, Measure, ce_residual, edge_fluxes
 from .potentials import (
     compatibility_residual,
     dissipation_from_dict,
@@ -29,7 +29,7 @@ from .potentials import (
     make_dissipation,
     make_entropy,
 )
-from .functionals import energy, energy_dissipation_report, fisher_information
+from .functionals import _certify, _edb_report, energy_dissipation_report
 from .evolution import solve_forward, stationarity_report
 from .dvt import DVTProblem, dvt_cost, poincare_constant
 from .jko import mm_solve
@@ -98,13 +98,13 @@ def _node_csv(path, system, times, measures):
     ])
 
 
-def _curve_csvs(outdir, system, curve):
+def _curve_csvs(outdir, system, curve, values):
+    """trajectory.csv, and fluxes.csv from the (T, K) edge flux values."""
     _node_csv(os.path.join(outdir, "trajectory.csv"), system, curve.times, curve.states)
     times = np.asarray(curve.times, dtype=float)
-    mask = system.edge_mask
-    w = np.reshape([f.w(system)[mask] for f in curve.fluxes], (-1, mask.sum()))
+    i, j = np.nonzero(system.edge_mask)
+    w = 2.0 * values / system.theta[i, j]
     step, edge = np.nonzero(w)
-    i, j = np.nonzero(mask)
     _write_csv(os.path.join(outdir, "fluxes.csv"), ["t", "i", "j", "w"],
                [0.5 * (times[:-1] + times[1:])[step], i[edge], j[edge], w[step, edge]])
 
@@ -153,19 +153,6 @@ def _integer(cfg, key, default, minimum=None):
     return val
 
 
-def _distribution(cfg, key, n):
-    """Weights of an initial distribution: n finite, nonnegative, positive sum."""
-    try:
-        vec = np.asarray(cfg[key], dtype=float)
-    except (TypeError, ValueError):
-        vec = None
-    if vec is None or vec.shape != (n,) or not np.all(np.isfinite(vec)) \
-            or np.any(vec < 0) or vec.sum() <= 0:
-        raise ConfigError(f"config field {key!r} must be {n} finite nonnegative "
-                          f"numbers with a positive sum, got {cfg[key]!r}")
-    return vec
-
-
 def _build_system(cfg):
     src = _require(cfg, "system", dict)
     if "file" in src:
@@ -200,35 +187,21 @@ def run_evolve(cfg, outdir):
     dt = None if cfg.get("dt") is None else _positive(cfg, "dt")
     rtol = cfg.get("rtol", 1e-8)
     curve = solve_forward(system, spec, entropy, u0, T, rtol=float(rtol), dt=dt)
-    rep_ce = ce_residual(system, curve.times, curve.states, curve.fluxes)
-    edb = energy_dissipation_report(
-        spec, entropy, system, curve.times, curve.states, curve.fluxes, ce_tol=None
-    )
+    cert = _certify(spec, entropy, system, curve.times, curve.states, curve.fluxes)
+    edb = _edb_report(cert)
     stat = stationarity_report(system, spec, entropy, curve)
-    _curve_csvs(outdir, system, curve)
-    _write_csv(os.path.join(outdir, "energies.csv"), ["t", "energy", "fisher"], [
-        np.asarray(curve.times, dtype=float),
-        [energy(entropy, system, state) for state in curve.states],
-        [fisher_information(spec, entropy, system, state) for state in curve.states],
-    ])
+    _curve_csvs(outdir, system, curve, cert.flux.values)
+    _write_csv(os.path.join(outdir, "energies.csv"), ["t", "energy", "fisher"],
+               [cert.times, cert.energy, cert.fisher])
     e0 = max(abs(edb.energy_start), 1e-30)
+    drift, ce = curve.meta["mass_drift_rel"], edb.ce_residual_value
     checks = {
-        "mass_conservation": {
-            "passed": bool(curve.meta["mass_drift_rel"] <= 1e-9),
-            "value": curve.meta["mass_drift_rel"],
-        },
-        "continuity_equation": {
-            "passed": bool(rep_ce.residual <= 1e-5),
-            "value": rep_ce.residual,
-        },
-        "energy_monotone": {
-            "passed": bool(stat["energy_monotone"]),
-            "value": stat["energy_end"] - stat["energy_start"],
-        },
-        "edb_deficit": {
-            "passed": bool(abs(edb.deficit) <= 1e-3 * e0 + 1e-10),
-            "value": edb.deficit,
-        },
+        "mass_conservation": {"passed": bool(drift <= 1e-9), "value": drift},
+        "continuity_equation": {"passed": bool(ce <= 1e-5), "value": ce},
+        "energy_monotone": {"passed": bool(stat["energy_monotone"]),
+                            "value": stat["energy_end"] - stat["energy_start"]},
+        "edb_deficit": {"passed": bool(abs(edb.deficit) <= 1e-3 * e0 + 1e-10),
+                        "value": edb.deficit},
     }
     report = {
         "scenario": "evolve",
@@ -257,7 +230,7 @@ def run_dvt(cfg, outdir):
     )
     sol = dvt_cost(problem)
     rep_ce = ce_residual(system, sol.curve.times, sol.curve.states, sol.curve.fluxes)
-    _curve_csvs(outdir, system, sol.curve)
+    _curve_csvs(outdir, system, sol.curve, edge_fluxes(system, sol.curve.fluxes).values)
     checks = {
         "solver_converged": {"passed": bool(sol.converged), "value": sol.kkt_residual},
         "discrete_continuity": {
@@ -337,8 +310,10 @@ def run_ldp(cfg, outdir):
     T = _positive(cfg, "T")
     seed = _integer(cfg, "seed", 0)
     bins = _integer(cfg, "bins", 100, minimum=1)
-    rho0 = None if cfg.get("rho0") is None else _distribution(cfg, "rho0", system.n)
-    ens = gillespie(system, n, T, seed=seed, rho0=rho0)
+    try:
+        ens = gillespie(system, n, T, seed=seed, rho0=cfg.get("rho0"))
+    except InvalidDistribution as e:
+        raise ConfigError(f"config field 'rho0': {e}") from e
     edges, measures, fluxes = empirical_path(system, ens, bins=bins)
     rate = path_rate(system, edges, measures, fluxes)
 

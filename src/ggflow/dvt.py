@@ -34,8 +34,8 @@ from .errors import (
     SolverStalled,
     UnsupportedParameter,
 )
-from .graph import CurveWithFlux, Flux, Measure
-from .functionals import action_rate, energy
+from .graph import CurveWithFlux, Flux, Measure, edge_fluxes
+from .functionals import _action_rows, energy
 
 _FLOOR = 1e-12
 _GAUSS_NODES = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
@@ -465,21 +465,15 @@ def feasible_curve(system, spec, rho0, rho1, tau, gamma=2.0, p=2, n_time=400):
     times = np.linspace(0.0, tau, n_time + 1)
     s_of_t = (times / tau) ** gamma
     speed = (gamma / tau) * (times / tau) ** (gamma - 1.0)
-    states, rates = [], []
-    for t, s, sp in zip(times, s_of_t, speed):
-        rho_t = (1.0 - s) * r0 + s * r1
-        m = Measure.from_rho(system, np.maximum(rho_t, 0.0))
-        states.append(m)
-        rates.append(action_rate(spec, system, m, Flux.from_matrix(sp * base_j)))
-    rates = np.asarray(rates)
+    rho_t = np.maximum((1.0 - s_of_t)[:, None] * r0 + s_of_t[:, None] * r1, 0.0)
+    base = edge_fluxes(system, [base_j])
+    rates = _action_rows(spec, system, rho_t / system.pi, speed[:, None] * base.values,
+                         (speed != 0) & base.off_edge)
     dt = np.diff(times)
     bound = float(np.sum(0.5 * dt * (rates[:-1] + rates[1:])))
-    fluxes = tuple(
-        Flux.from_matrix(0.5 * (speed[k] + speed[k + 1]) * base_j)
-        for k in range(n_time)
-    )
     curve = CurveWithFlux(
-        times=times, states=tuple(states), fluxes=fluxes,
+        times=times, states=tuple(Measure.from_rho(system, r) for r in rho_t),
+        fluxes=tuple(Flux.from_matrix(s * base_j) for s in 0.5 * (speed[:-1] + speed[1:])),
         meta={"gamma": gamma, "bound": bound},
     )
     return curve, bound

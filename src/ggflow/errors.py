@@ -32,6 +32,10 @@ class GridMismatch(GGFlowError):
     """Time grids of states and fluxes are not aligned."""
 
 
+class InvalidDistribution(GGFlowError):
+    """Initial weights are not n finite nonnegative numbers with a positive sum."""
+
+
 class UnsupportedParameter(GGFlowError):
     """Parameter outside the admissible range of a family."""
 

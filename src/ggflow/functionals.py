@@ -11,13 +11,13 @@ report certifies (up to quadrature on a time grid).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContinuityEquationViolated, GridMismatch
-from .graph import CurveWithFlux, Flux, Measure, ce_residual
+from .errors import ContinuityEquationViolated
+from .graph import CEReport, EdgeFluxes, Measure, _ce_report, edge_fluxes
 from .potentials import edge_force, flux_cost, mul_zero_inf
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
 def energy(entropy, system, measure):
     """Relative entropy of the measure against pi: sum_i phi(u_i) pi_i."""
     u = measure.u if isinstance(measure, Measure) else np.asarray(measure, float)
-    return float(np.sum(entropy.phi(u) * system.pi))
+    return float(_energy_rows(entropy, system, u))
 
 
 def _psi_star_ext(spec, a):
@@ -122,17 +122,86 @@ def fisher_integrands(spec, entropy, u, v):
     return FisherTriple(lower, upper, envelope)
 
 
+def _half_theta_sum(vals, th):
+    """(1/2) sum_k vals_k theta_k along the last axis; +inf if a term is."""
+    with np.errstate(invalid="ignore"):
+        out = 0.5 * (vals * th).sum(axis=-1)
+    return np.where(np.isinf(vals).any(axis=-1), np.inf, out)
+
+
+def _edge_ends(system, U):
+    """Densities at both ends of each edge, per row of U.  np.take keeps rows
+    C-contiguous (U[:, ii] would not), so a row sums as that row alone does."""
+    ii, jj = np.nonzero(system.edge_mask)
+    return np.take(U, ii, axis=-1), np.take(U, jj, axis=-1)
+
+
+def _energy_rows(entropy, system, U):
+    """Energy of each row of the densities U."""
+    return np.sum(entropy.phi(U) * system.pi, axis=-1)
+
+
+def _fisher_rows(spec, entropy, system, U):
+    """Fisher information of each row of the densities U."""
+    env = fisher_integrands(spec, entropy, *_edge_ends(system, U)).envelope
+    return _half_theta_sum(env, system.theta[system.edge_mask])
+
+
+def _action_rows(spec, system, U, J, off_edge):
+    """Action rate of each row pair of densities U and edge fluxes J; +inf
+    where the flux leaves the edge set (off_edge) or the cost blows up."""
+    th = system.theta[system.edge_mask]
+    costs = flux_cost(spec, *_edge_ends(system, U), 2.0 * J / th)
+    return np.where(off_edge, np.inf, _half_theta_sum(costs, th))
+
+
+def _midpoint_edges(entropy, system, U, flux):
+    """Per interval and edge: the average densities u_i, u_j, the skew part
+    w of the scaled flux 2 j / theta, and the chain-rule integrand
+    edge_force * w (with 0 * inf = 0)."""
+    ii, jj = np.nonzero(system.edge_mask)
+    ui, uj = _edge_ends(system, 0.5 * (U[:-1] + U[1:]))
+    w = 2.0 * flux.values / system.theta[ii, jj]
+    w = 0.5 * (w - np.take(w, np.lexsort((ii, jj)), axis=-1))
+    return ui, uj, w, mul_zero_inf(edge_force(entropy, ui, uj), np.abs(w)) * np.sign(w)
+
+
+class _Certificate(NamedTuple):
+    times: np.ndarray
+    flux: EdgeFluxes
+    ce: CEReport
+    energy: np.ndarray  # (T+1,) at the nodes
+    fisher: np.ndarray  # (T+1,) at the nodes
+    action: np.ndarray  # (T,) action rate per interval
+    chain: np.ndarray  # (T,) chain-rule rate per interval
+
+
+def _certify(spec, entropy, system, times, states, fluxes):
+    """Read a gridded curve once and evaluate every curve functional on it.
+
+    Energy and Fisher information at the nodes (Fisher enters the
+    certificate by the trapezoid rule); the action and chain-rule rates at
+    each interval's average state with the interval flux (midpoint rule),
+    the action's state clipped at 0.
+    """
+    times = np.asarray(times, dtype=float)
+    flux = edge_fluxes(system, fluxes)
+    ce = _ce_report(system, times, states, flux)
+    U = np.stack([m.u for m in states])
+    chain = _midpoint_edges(entropy, system, U, flux)[-1]
+    return _Certificate(
+        times, flux, ce, _energy_rows(entropy, system, U),
+        _fisher_rows(spec, entropy, system, U),
+        _action_rows(spec, system, np.maximum(0.5 * (U[:-1] + U[1:]), 0.0),
+                     flux.values, flux.off_edge),
+        0.5 * (chain * system.theta[system.edge_mask]).sum(axis=1),
+    )
+
+
 def fisher_information(spec, entropy, system, measure):
     """Fisher information: (1/2) sum_ij envelope(u_i, u_j) theta_ij."""
     u = measure.u if isinstance(measure, Measure) else np.asarray(measure, float)
-    mask = system.edge_mask
-    ii, jj = np.nonzero(mask)
-    env = fisher_integrands(spec, entropy, u[ii], u[jj]).envelope
-    with np.errstate(invalid="ignore"):
-        vals = env * system.theta[ii, jj]
-    if np.any(np.isinf(env)):
-        return float(np.inf)
-    return float(0.5 * vals.sum())
+    return float(_fisher_rows(spec, entropy, system, u))
 
 
 def action_rate(spec, system, measure, flux):
@@ -142,35 +211,8 @@ def action_rate(spec, system, measure, flux):
     blows up (flux across a dead edge of the weight alpha).
     """
     u = measure.u if isinstance(measure, Measure) else np.asarray(measure, float)
-    j = flux.j if isinstance(flux, Flux) else np.asarray(flux, dtype=float)
-    mask = system.edge_mask
-    off = ~mask
-    np.fill_diagonal(off, False)
-    if np.any(j[off] != 0.0):
-        return float(np.inf)
-    ii, jj = np.nonzero(mask)
-    w = 2.0 * j[ii, jj] / system.theta[ii, jj]
-    costs = np.atleast_1d(flux_cost(spec, u[ii], u[jj], w))
-    if np.any(np.isinf(costs)):
-        return float(np.inf)
-    return float(0.5 * (costs * system.theta[ii, jj]).sum())
-
-
-def _interval_average_states(curve):
-    dens = curve.densities
-    return 0.5 * (dens[:-1] + dens[1:])
-
-
-def _interval_w_flat(system, curve):
-    """Skew part of the scaled flux density per interval."""
-    out = []
-    th = system.theta
-    mask = system.edge_mask
-    for f in curve.fluxes:
-        w = np.zeros_like(th)
-        w[mask] = 2.0 * f.j[mask] / th[mask]
-        out.append(0.5 * (w - w.T))
-    return out
+    read = edge_fluxes(system, [flux])
+    return float(_action_rows(spec, system, u, read.values[0], read.off_edge[0]))
 
 
 def chain_rule_residual(spec, entropy, system, times, states, fluxes):
@@ -180,27 +222,9 @@ def chain_rule_residual(spec, entropy, system, times, states, fluxes):
     edge_force(u_i, u_j) * w_flat_ij * theta_ij | evaluated at the interval
     average state; returns the max over intervals.
     """
-    times = np.asarray(times, dtype=float)
-    if len(states) != times.size or len(fluxes) != times.size - 1:
-        raise GridMismatch("chain rule needs one flux per interval")
-    curve = CurveWithFlux(times=times, states=tuple(states), fluxes=tuple(fluxes))
-    ubar = _interval_average_states(curve)
-    wflat = _interval_w_flat(system, curve)
-    energies = np.array([energy(entropy, system, m) for m in states])
-    dt = np.diff(times)
-    worst = 0.0
-    mask = system.edge_mask
-    ii, jj = np.nonzero(mask)
-    th = system.theta[ii, jj]
-    for m in range(dt.size):
-        force = np.atleast_1d(edge_force(entropy, ubar[m][ii], ubar[m][jj]))
-        integrand = mul_zero_inf(force, np.abs(wflat[m][ii, jj]))
-        integrand = np.where(
-            wflat[m][ii, jj] >= 0, integrand, -integrand
-        )  # force * w with 0*inf = 0
-        rate = 0.5 * float((integrand * th).sum())
-        worst = max(worst, abs(energies[m + 1] - energies[m] - dt[m] * rate))
-    return worst
+    cert = _certify(spec, entropy, system, times, states, fluxes)
+    gap = np.abs(np.diff(cert.energy) - np.diff(cert.times) * cert.chain)
+    return float(np.fmax.reduce(gap, initial=0.0))  # NaN intervals are skipped
 
 
 @dataclass(frozen=True)
@@ -221,16 +245,22 @@ class EDBReport:
     ce_residual_value: float
 
     def to_dict(self):
-        return {
-            "energy_start": self.energy_start,
-            "energy_end": self.energy_end,
-            "action_integral": self.action_integral,
-            "fisher_integral": self.fisher_integral,
-            "deficit": self.deficit,
-            "quadrature_order": self.quadrature_order,
-            "dt_max": self.dt_max,
-            "ce_residual": self.ce_residual_value,
-        }
+        out = asdict(self)
+        out["ce_residual"] = out.pop("ce_residual_value")
+        return out
+
+
+def _edb_report(cert):
+    """EDBReport of a certificate: midpoint action, trapezoid Fisher."""
+    dt = np.diff(cert.times)
+    # the action is summed left to right, interval by interval
+    action = float(np.cumsum(dt * cert.action)[-1])
+    fisher = float(np.sum(0.5 * dt * (cert.fisher[:-1] + cert.fisher[1:])))
+    e0, eT = float(cert.energy[0]), float(cert.energy[-1])
+    return EDBReport(energy_start=e0, energy_end=eT, action_integral=action,
+                     fisher_integral=fisher, deficit=float(action + fisher + eT - e0),
+                     quadrature_order=2, dt_max=float(dt.max()),
+                     ce_residual_value=cert.ce.residual)
 
 
 def energy_dissipation_report(
@@ -245,59 +275,28 @@ def energy_dissipation_report(
     both are second order, so the deficit of a solution curve scales as
     O(dt^2).
     """
-    times = np.asarray(times, dtype=float)
-    rep = ce_residual(system, times, states, fluxes)
-    if ce_tol is not None and rep.residual > ce_tol:
+    cert = _certify(spec, entropy, system, times, states, fluxes)
+    if ce_tol is not None and cert.ce.residual > ce_tol:
         raise ContinuityEquationViolated(
-            f"continuity residual {rep.residual:.3g} exceeds {ce_tol:.3g}"
+            f"continuity residual {cert.ce.residual:.3g} exceeds {ce_tol:.3g}"
         )
-    curve = CurveWithFlux(times=times, states=tuple(states), fluxes=tuple(fluxes))
-    if len(fluxes) != times.size - 1:
-        raise GridMismatch("deficit report needs one flux per interval")
-    dt = np.diff(times)
-    ubar = _interval_average_states(curve)
-    action = 0.0
-    for m in range(dt.size):
-        mid = Measure.from_u(system, np.maximum(ubar[m], 0.0))
-        action += dt[m] * action_rate(spec, system, mid, fluxes[m])
-    fisher_nodes = np.array(
-        [fisher_information(spec, entropy, system, s) for s in states]
-    )
-    fisher = float(np.sum(0.5 * dt * (fisher_nodes[:-1] + fisher_nodes[1:])))
-    e0 = energy(entropy, system, states[0])
-    eT = energy(entropy, system, states[-1])
-    return EDBReport(
-        energy_start=e0,
-        energy_end=eT,
-        action_integral=float(action),
-        fisher_integral=fisher,
-        deficit=float(action + fisher + eT - e0),
-        quadrature_order=2,
-        dt_max=float(dt.max()),
-        ce_residual_value=rep.residual,
-    )
+    return _edb_report(cert)
 
 
 def edge_diagnostics_csv(path, spec, entropy, system, times, states, fluxes):
     """Dump per-edge diagnostics: t, i, j, u_i, u_j, w, cost, fisher, chain."""
     times = np.asarray(times, dtype=float)
-    curve = CurveWithFlux(times=times, states=tuple(states), fluxes=tuple(fluxes))
-    ubar = _interval_average_states(curve)
-    wflat = _interval_w_flat(system, curve)
     ii, jj = np.nonzero(system.edge_mask)
+    ui, uj, w, chain = _midpoint_edges(entropy, system, np.stack([m.u for m in states]),
+                                       edge_fluxes(system, fluxes))
+    cost = flux_cost(spec, ui, uj, w)
+    fish = fisher_integrands(spec, entropy, ui, uj).envelope
+    t = np.repeat(0.5 * (times[:-1] + times[1:]), ii.size)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "i", "j", "u_i", "u_j", "w", "cost", "fisher", "chain"])
-        for m in range(len(fluxes)):
-            t = 0.5 * (times[m] + times[m + 1])
-            ui, uj = ubar[m][ii], ubar[m][jj]
-            w = wflat[m][ii, jj]
-            cost = np.atleast_1d(flux_cost(spec, ui, uj, w))
-            fish = fisher_integrands(spec, entropy, ui, uj).envelope
-            force = np.atleast_1d(edge_force(entropy, ui, uj))
-            chain = mul_zero_inf(force, np.abs(w)) * np.sign(w)
-            for k in range(ii.size):
-                writer.writerow(
-                    [repr(t), ii[k], jj[k], repr(ui[k]), repr(uj[k]), repr(w[k]),
-                     repr(float(cost[k])), repr(float(fish[k])), repr(float(chain[k]))]
-                )
+        writer.writerows(zip(
+            map(repr, t), np.tile(ii, len(w)), np.tile(jj, len(w)),
+            *(map(repr, a.ravel()) for a in (ui, uj, w)),
+            *(map(repr, a.ravel().tolist()) for a in (cost, fish, chain)),
+        ))

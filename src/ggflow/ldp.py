@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, InvalidDistribution
 from .graph import Flux, Measure
 
 __all__ = [
@@ -50,13 +50,29 @@ class ParticleEnsemble:
         return self.event_times.size
 
 
+def _initial_weights(system, rho0):
+    """rho0 (default pi) as n finite nonnegative weights with a positive sum."""
+    if rho0 is None:
+        return system.pi
+    try:
+        weights = np.asarray(rho0, dtype=float)
+    except (TypeError, ValueError):
+        weights = np.empty(0)
+    if weights.shape != (system.n,) or not np.all(np.isfinite(weights)) \
+            or np.any(weights < 0) or weights.sum() <= 0:
+        raise InvalidDistribution(f"rho0 must be {system.n} finite nonnegative "
+                                  f"numbers with a positive sum, got {rho0!r}")
+    return weights
+
+
 def gillespie(system, n, T, seed=0, rho0=None):
     """Simulate n i.i.d. walkers with kernel kappa by uniformization.
 
     Each walker sees Poisson(Lambda T) clock ticks, Lambda the largest exit
     rate, and at each tick moves by the kernel I + L / Lambda; ticks that
     stay put are dropped, so the log is that of the jump process itself.
-    Initial states are sampled from rho0 (default: pi, normalized).  Each
+    Initial states are sampled from rho0 (default: pi), n nonnegative
+    finite weights with a positive sum (else InvalidDistribution).  Each
     particle owns a counter-based substream Philox(key=[seed, particle]),
     so its path does not depend on n or on the other particles.
     """
@@ -73,7 +89,7 @@ def gillespie(system, n, T, seed=0, rho0=None):
     flat = (cum / cum[:, -1:] + np.arange(n_states)[:, None]).ravel()
     last_cell = np.arange(n_states) * n_states + n_states - 1 \
         - np.argmax(kernel[:, ::-1] > 0, axis=1)
-    p0 = np.cumsum(system.pi if rho0 is None else np.asarray(rho0, dtype=float))
+    p0 = np.cumsum(_initial_weights(system, rho0))
 
     u0, ticks = np.empty(n), np.empty(n, dtype=np.int64)
     clocks, draws = [], []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import three_state_system, two_state_system
 
@@ -9,10 +11,15 @@ from ggflow import (
     ContinuityEquationViolated,
     Flux,
     Measure,
+    build_system,
+    ce_residual,
+    flux_cost,
     make_dissipation,
     make_entropy,
+    solve_forward,
 )
 from ggflow.functionals import (
+    _certify,
     action_rate,
     chain_rule_residual,
     edge_force,
@@ -74,6 +81,13 @@ class TestActionRate:
         m = Measure.from_u(sys2, [0.0, 2.0])
         j = Flux.from_matrix([[0.0, 0.1], [0.0, 0.0]])
         assert action_rate(COSH, sys2, m, j) == np.inf
+
+    def test_diagonal_flux_is_ignored(self):
+        sys3 = three_state_system()
+        m = Measure.from_u(sys3, [1.5, 0.5, 1.0])
+        j = np.array([[0.0, 0.05, -0.02], [0.01, 0.0, 0.03], [0.0, -0.04, 0.0]])
+        on_diagonal = j + np.diag([0.3, -0.2, 0.1])
+        assert action_rate(COSH, sys3, m, on_diagonal) == action_rate(COSH, sys3, m, j) < np.inf
 
     def test_joint_convexity_in_measure_and_flux(self):
         sys3 = three_state_system()
@@ -198,3 +212,118 @@ class TestChainRuleAndDeficit:
             energy_dissipation_report(
                 COSH, BOLTZ, sys2, [0.0, 1.0], states, [zero]
             )
+
+
+# ---------------------------------------------------------------------------
+# the certificate kernel against a pairwise double loop
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+DENSITY = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+
+
+@st.composite
+def detailed_balance_systems(draw):
+    """Random pi and symmetric theta on 2-6 states, some pairs with theta = 0."""
+    n = draw(st.integers(2, 6))
+    pi = np.array(draw(st.lists(st.floats(0.2, 2.0), min_size=n, max_size=n)))
+    theta = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            theta[i, j] = theta[j, i] = draw(st.one_of(st.just(0.0), st.floats(0.1, 2.0)))
+    return build_system(pi, theta / pi[:, None])
+
+
+@st.composite
+def curves_with_flux(draw):
+    """A system and three nodes with two arbitrary (not skew) interval fluxes.
+
+    Densities may vanish, so alpha may be dead under a flux; with `leak`
+    the fluxes may also sit on pairs with theta = 0.
+    """
+    system = draw(detailed_balance_systems())
+    n = system.n
+    states = [Measure.from_u(system, draw(st.lists(DENSITY, min_size=n, max_size=n)))
+              for _ in range(3)]
+    leak = draw(st.booleans())
+    fluxes = []
+    for _ in range(2):
+        j = np.reshape(draw(st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                                     min_size=n * n, max_size=n * n)), (n, n))
+        fluxes.append(Flux.from_matrix(j if leak else j * system.edge_mask))
+    times = np.array([0.0, draw(st.floats(0.1, 1.0)), 1.5])
+    return system, times, states, fluxes
+
+
+def _pairwise_rows(spec, entropy, system, times, states, fluxes):
+    """Energy, Fisher, action and chain rows, one (i, j) pair at a time."""
+    n, th = system.n, system.theta
+    edges = [(i, j) for i in range(n) for j in range(n) if th[i, j] > 0]
+
+    def half_sum(terms):
+        return np.inf if np.inf in terms else 0.5 * sum(terms)
+
+    energy_rows = [sum(float(entropy.phi(u)) * p for u, p in zip(m.u, system.pi))
+                   for m in states]
+    fisher_rows = [half_sum([fisher_integrands(spec, entropy, m.u[i], m.u[j]).envelope
+                             * th[i, j] for i, j in edges]) for m in states]
+    action_rows, chain_rows = [], []
+    for m, f in enumerate(fluxes):
+        u = 0.5 * (states[m].u + states[m + 1].u)
+        w = np.zeros((n, n))
+        for i, j in edges:
+            w[i, j] = 2.0 * f.j[i, j] / th[i, j]
+        leaks = any(f.j[i, j] != 0 for i in range(n) for j in range(n)
+                    if i != j and th[i, j] == 0)
+        costs = [flux_cost(spec, u[i], u[j], w[i, j]) * th[i, j] for i, j in edges]
+        action_rows.append(np.inf if leaks else half_sum(costs))
+        chain = 0.0
+        for i, j in edges:
+            skew = 0.5 * (w[i, j] - w[j, i])
+            if skew != 0.0:
+                chain += edge_force(entropy, u[i], u[j]) * skew * th[i, j]
+        chain_rows.append(0.5 * chain)
+    return energy_rows, fisher_rows, action_rows, chain_rows
+
+
+@pytest.mark.parametrize("spec", [
+    COSH,
+    make_dissipation("cosh", q=0.5),
+    QUAD,
+    make_dissipation("power_mean", p=-0.5),
+    UNIT,
+], ids=["cosh", "cosh-q0.5", "quadratic", "power_mean-0.5", "constant_alpha"])
+@PROPERTY
+@given(curve=curves_with_flux())
+def test_kernel_rows_match_pairwise_loop(spec, curve):
+    system, times, states, fluxes = curve
+    cert = _certify(spec, BOLTZ, system, times, states, fluxes)
+    expected = _pairwise_rows(spec, BOLTZ, system, times, states, fluxes)
+    for got, want in zip((cert.energy, cert.fisher, cert.action, cert.chain), expected):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+def test_kernel_infinite_action_cases():
+    sys3 = three_state_system()
+    sparse = build_system(np.full(3, 1 / 3), np.array(
+        [[0.0, 0.6, 0.0], [0.6, 0.0, 0.45], [0.0, 0.45, 0.0]]))
+    flat = [Measure.from_u(sparse, [1.0, 1.0, 1.0])] * 2
+    leak = Flux.from_matrix([[0.0, 0.0, 0.1], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert _certify(COSH, BOLTZ, sparse, [0.0, 1.0], flat, [leak]).action[0] == np.inf
+    dead = [Measure.from_u(sys3, [0.0, 1.0, 1.0])] * 2
+    across = Flux.from_matrix([[0.0, 0.1, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert _certify(COSH, BOLTZ, sys3, [0.0, 1.0], dead, [across]).action[0] == np.inf
+    assert _certify(UNIT, BOLTZ, sys3, [0.0, 1.0], dead, [across]).action[0] < np.inf
+
+
+@PROPERTY
+@given(system=detailed_balance_systems(), data=st.data())
+def test_solver_curves_conserve_mass_and_continuity(system, data):
+    n = system.n
+    u0 = np.array(data.draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n)))
+    curve = solve_forward(system, COSH, BOLTZ, u0, T=0.2, dt=0.05)
+    rep = ce_residual(system, curve.times, curve.states, curve.fluxes)
+    mass = float(u0 @ system.pi)
+    assert rep.residual >= 0.0
+    assert rep.mass_drift <= 1e-12 * mass
+    assert np.all(np.abs(curve.masses - mass) <= 1e-12 * mass)

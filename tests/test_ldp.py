@@ -1,11 +1,18 @@
 import math
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
 from conftest import three_state_system, two_state_system
 
-from ggflow import build_system, graph_div, make_dissipation, make_entropy
+from ggflow import (
+    InvalidDistribution,
+    build_system,
+    graph_div,
+    make_dissipation,
+    make_entropy,
+)
 from ggflow.evolution import solve_forward
 from ggflow.ldp import (
     empirical_path,
@@ -24,6 +31,18 @@ class TestGillespie:
         sysz = build_system([0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]])
         ens = gillespie(sysz, n=50, T=1.0, seed=0)
         assert ens.n_events == 0
+
+    @pytest.mark.parametrize("rho0", [
+        [1.0, 1.0],  # too short: would sample states 0-1 only
+        [1.0, -1.0, 1.0],  # negative weight: would put every walker in state 2
+        [1.0, 1.0, 1.0, 5.0],  # too long: would raise a bare IndexError
+        [1.0, math.nan, 1.0],
+        [0.0, 0.0, 0.0],
+        "abc",
+    ])
+    def test_bad_rho0_raises(self, rho0):
+        with pytest.raises(InvalidDistribution, match="rho0"):
+            gillespie(three_state_system(), n=20, T=1.0, seed=0, rho0=rho0)
 
     def test_reproducible_from_seed(self):
         sys3 = three_state_system()
