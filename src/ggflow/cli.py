@@ -194,14 +194,23 @@ def run_evolve(cfg, outdir):
     _write_csv(os.path.join(outdir, "energies.csv"), ["t", "energy", "fisher"],
                [cert.times, cert.energy, cert.fisher])
     e0 = max(abs(edb.energy_start), 1e-30)
-    drift, ce = curve.meta["mass_drift_rel"], edb.ce_residual_value
     checks = {
-        "mass_conservation": {"passed": bool(drift <= 1e-9), "value": drift},
-        "continuity_equation": {"passed": bool(ce <= 1e-5), "value": ce},
-        "energy_monotone": {"passed": bool(stat["energy_monotone"]),
-                            "value": stat["energy_end"] - stat["energy_start"]},
-        "edb_deficit": {"passed": bool(abs(edb.deficit) <= 1e-3 * e0 + 1e-10),
-                        "value": edb.deficit},
+        "mass_conservation": {
+            "passed": bool(curve.meta["mass_drift_rel"] <= 1e-9),
+            "value": curve.meta["mass_drift_rel"],
+        },
+        "continuity_equation": {
+            "passed": bool(edb.ce_residual_value <= 1e-5),
+            "value": edb.ce_residual_value,
+        },
+        "energy_monotone": {
+            "passed": bool(stat["energy_monotone"]),
+            "value": stat["energy_end"] - stat["energy_start"],
+        },
+        "edb_deficit": {
+            "passed": bool(abs(edb.deficit) <= 1e-3 * e0 + 1e-10),
+            "value": edb.deficit,
+        },
     }
     report = {
         "scenario": "evolve",

@@ -57,10 +57,14 @@ def _advance_guarded(rhs, u, h, atol, t, depth=0):
     return unew
 
 
-def _interval_fluxes(system, field, dens):
+def _interval_fluxes(system, field, times, dens):
     """Fluxes at the interval-average state: 2 j = -F(u_i, u_j) theta."""
-    return [Flux.from_matrix(-0.5 * _pairwise(field, 0.5 * (a + b)) * system.theta)
-            for a, b in zip(dens[:-1], dens[1:])]
+    fluxes = []
+    for m in range(len(times) - 1):
+        ubar = 0.5 * (dens[m] + dens[m + 1])
+        f = _pairwise(field, ubar)
+        fluxes.append(Flux.from_matrix(-0.5 * f * system.theta))
+    return fluxes
 
 
 def sampled_one_sided_lipschitz(field, lo, hi, n_samples=1000, seed=0):
@@ -171,7 +175,7 @@ def solve_forward(
     times = np.asarray(times)
     clipped = [np.where(d < 0.0, 0.0, d) for d in dens]
     states = tuple(Measure.from_u(system, d) for d in clipped)
-    fluxes = tuple(_interval_fluxes(system, field, clipped))
+    fluxes = tuple(_interval_fluxes(system, field, times, clipped))
     masses = np.array([s.mass for s in states])
     drift = float(np.max(np.abs(masses - masses[0]))) / max(masses[0], 1e-300)
     meta.update({"steps": len(times) - 1, "rejections": rejections,

@@ -11,12 +11,12 @@ report certifies (up to quadrature on a time grid).
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContinuityEquationViolated
+from .errors import ContinuityEquationViolated, GridMismatch
 from .graph import CEReport, EdgeFluxes, Measure, _ce_report, edge_fluxes
 from .potentials import edge_force, flux_cost, mul_zero_inf
 
@@ -245,9 +245,16 @@ class EDBReport:
     ce_residual_value: float
 
     def to_dict(self):
-        out = asdict(self)
-        out["ce_residual"] = out.pop("ce_residual_value")
-        return out
+        return {
+            "energy_start": self.energy_start,
+            "energy_end": self.energy_end,
+            "action_integral": self.action_integral,
+            "fisher_integral": self.fisher_integral,
+            "deficit": self.deficit,
+            "quadrature_order": self.quadrature_order,
+            "dt_max": self.dt_max,
+            "ce_residual": self.ce_residual_value,
+        }
 
 
 def _edb_report(cert):
@@ -286,6 +293,9 @@ def energy_dissipation_report(
 def edge_diagnostics_csv(path, spec, entropy, system, times, states, fluxes):
     """Dump per-edge diagnostics: t, i, j, u_i, u_j, w, cost, fisher, chain."""
     times = np.asarray(times, dtype=float)
+    if len(states) != times.size or len(fluxes) != times.size - 1:
+        raise GridMismatch(f"{len(states)} states and {len(fluxes)} "
+                           f"fluxes on {times.size} times")
     ii, jj = np.nonzero(system.edge_mask)
     ui, uj, w, chain = _midpoint_edges(entropy, system, np.stack([m.u for m in states]),
                                        edge_fluxes(system, fluxes))

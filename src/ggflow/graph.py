@@ -220,22 +220,26 @@ class EdgeFluxes(NamedTuple):
     values: np.ndarray  # (T, K) j on the edges np.nonzero(system.edge_mask)
     divergence: np.ndarray  # (T, n) row sums minus column sums of every entry
     off_edge: np.ndarray  # (T,) whether j is nonzero off the edge set
+    abs_sum: np.ndarray  # (T,) sum of |j| over every entry
 
 
 def edge_fluxes(system, fluxes):
     """Read a sequence of dense n x n fluxes, the one place that does, into
-    rows.  Off-edge entries (the diagonal aside) count in the divergence, so
-    the continuity residual still sees them, and raise the off_edge flag."""
+    rows.  Off-edge entries (the diagonal aside) count in the divergence and
+    in abs_sum, so the continuity residual and its TV bound still see them,
+    and raise the off_edge flag."""
     ii, jj = np.nonzero(system.edge_mask)
-    values, div, nonzero = [], [], []
+    values, div, nonzero, abs_sum = [], [], [], []
     for f in fluxes:  # each matrix is read while it sits in cache
         j = f.j if isinstance(f, Flux) else np.asarray(f, dtype=float)
         values.append(j[ii, jj])
         div.append(graph_div(j))
         nonzero.append(np.count_nonzero(j) - np.count_nonzero(j.diagonal()))
+        abs_sum.append(np.abs(j).sum())
     values = np.reshape(values, (len(div), ii.size))
     return EdgeFluxes(values, np.reshape(div, (len(div), system.n)),
-                      np.array(nonzero, dtype=int) > np.count_nonzero(values, axis=1))
+                      np.array(nonzero, dtype=int) > np.count_nonzero(values, axis=1),
+                      np.array(abs_sum, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -272,7 +276,7 @@ def _ce_report(system, times, states, flux):
     residual = float((e.max(axis=0) - e.min(axis=0)).max())
     # adjacent-interval TV bound implies the bound on every subinterval
     res_m = np.abs(drho + div_int).max(axis=1, initial=0.0)
-    tv_j = np.diff(times) * np.abs(flux.values).sum(axis=1)
+    tv_j = np.diff(times) * flux.abs_sum
     tv_ok = not np.any(np.abs(drho).sum(axis=1) > 2.0 * tv_j + res_m * system.n + 1e-13)
     mass_drift = float(np.abs(rho.sum(axis=1) - rho[0].sum()).max())
     return CEReport(residual=residual, tv_bound_ok=tv_ok, mass_drift=mass_drift)

@@ -166,6 +166,19 @@ class TestContinuityResidual:
         rep = ce_residual(sys2, tgrid, states, fluxes)
         assert rep.residual > 1e-3
 
+    def test_off_edge_flux_counts_in_tv_bound(self):
+        # path 0 - 1 - 2: flux on the theta = 0 pair (0, 2) still moves rho
+        # through the divergence, so it counts in 2 * integral |j| as well
+        path = build_system(np.full(3, 1 / 3), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        tgrid = np.linspace(0.0, 1.0, 5)
+        states = [Measure.from_rho(path, [0.5 - 0.2 * t, 0.3, 0.2 + 0.2 * t])
+                  for t in tgrid]
+        j = np.zeros((3, 3))
+        j[0, 2] = 0.2
+        rep = ce_residual(path, tgrid, states, [Flux.from_matrix(j)] * 4)
+        assert rep.residual < 1e-15
+        assert rep.tv_bound_ok
+
     @pytest.mark.parametrize("n_fluxes", [11, 9])
     def test_fluxes_not_one_per_interval_rejected(self, n_fluxes):
         # one flux per time node (11) or one too few (9) on 10 intervals

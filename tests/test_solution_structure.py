@@ -9,10 +9,11 @@ energy-dissipation certificate as tau shrinks.
 """
 
 import numpy as np
+import pytest
 
 from conftest import three_state_system
 
-from ggflow import Measure, make_dissipation, make_entropy
+from ggflow import GridMismatch, Measure, make_dissipation, make_entropy
 from ggflow.evolution import solve_forward
 from ggflow.functionals import (
     chain_rule_residual,
@@ -81,6 +82,14 @@ class TestSolutionIdentities:
         assert lines[0] == "t,i,j,u_i,u_j,w,cost,fisher,chain"
         n_edges = int(np.count_nonzero(system.edge_mask))
         assert len(lines) == 1 + n_edges * len(curve.fluxes)
+
+    @pytest.mark.parametrize("n_states, n_fluxes", [(2, None), (None, -1)])
+    def test_edge_diagnostics_csv_rejects_misaligned_grid(self, tmp_path, n_states,
+                                                          n_fluxes):
+        system, curve = solution_curve(dt=0.1)
+        with pytest.raises(GridMismatch):
+            edge_diagnostics_csv(tmp_path / "edges.csv", COSH, BOLTZ, system, curve.times,
+                                 curve.states[:n_states], curve.fluxes[:n_fluxes])
 
 
 class TestMMLimitCurve:

@@ -1,6 +1,6 @@
 """Line coverage of ``src/ggflow`` by Tier-1 and the demos, stdlib only.
 
-    python3 tools/linecov.py [--tests-only | --demos-only]
+    python3 tools/linecov.py
 
 Installs a ``sys.settrace`` line tracer that records only frames whose code
 lives in ``src/ggflow``, then runs Tier-1 in this process (``pytest.main``)
@@ -11,7 +11,6 @@ their count.  Tracing makes Tier-1 several times slower, so this is run by
 hand and is not part of Tier-1.
 """
 
-import argparse
 import os
 import runpy
 import sys
@@ -43,13 +42,7 @@ def ranges(lines):
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in out)
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--tests-only", action="store_true")
-    group.add_argument("--demos-only", action="store_true")
-    args = p.parse_args(argv)
-
+def main():
     hit = {}
 
     def local(frame, event, arg):
@@ -68,15 +61,13 @@ def main(argv=None):
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        if not args.demos_only:
-            import pytest
+        import pytest
 
-            pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
-        if not args.tests_only:
-            for demo in sorted((ROOT / "demos").glob("*.py")):
-                print(f"demo {demo.name}", flush=True)
-                sys.argv = [str(demo)]
-                runpy.run_path(str(demo), run_name="__main__")
+        pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        for demo in sorted((ROOT / "demos").glob("*.py")):
+            print(f"demo {demo.name}", flush=True)
+            sys.argv = [str(demo)]
+            runpy.run_path(str(demo), run_name="__main__")
     finally:
         sys.settrace(None)
         threading.settrace(None)
